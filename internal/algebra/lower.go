@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"cleandb/internal/monoid"
 )
@@ -109,13 +110,44 @@ func (st *lowerState) addPred(cond monoid.Expr) error {
 		st.plan = &Scan{Source: UnitSource, Alias: "$u"}
 		st.bound["$u"] = true
 	}
-	// A predicate arriving right after a join was formed may be its join
-	// condition: attach it to the join instead of filtering the product.
-	if j, ok := st.plan.(*Join); ok && st.attachToJoin(j, cond) {
-		return nil
-	}
-	st.plan = &Select{Child: st.plan, Pred: cond}
+	st.plan = st.placePred(st.plan, cond)
 	return nil
+}
+
+// placePred attaches cond to p as low as it can go and returns the new plan.
+// Under an inner join, a predicate over both inputs becomes the join's
+// condition, and one that a single input binds alone (catalog sources count
+// as bound everywhere) moves into that input, so the join pairs only rows
+// that pass it. Anything else, and any predicate above an outer join (where
+// filtering an input would change which rows come out unmatched), filters p.
+func (st *lowerState) placePred(p Plan, cond monoid.Expr) Plan {
+	if j, ok := p.(*Join); ok && !j.Outer {
+		if st.attachToJoin(j, cond) {
+			return j
+		}
+		free := monoid.FreeVars(cond)
+		switch {
+		case st.bindsAll(j.Left, free):
+			j.Left = st.placePred(j.Left, cond)
+			return j
+		case st.bindsAll(j.Right, free):
+			j.Right = st.placePred(j.Right, cond)
+			return j
+		}
+	}
+	return &Select{Child: p, Pred: cond}
+}
+
+// bindsAll reports whether every variable in vars is bound by p or names a
+// catalog source.
+func (st *lowerState) bindsAll(p Plan, vars []string) bool {
+	binds := p.Binds()
+	for _, v := range vars {
+		if !slices.Contains(binds, v) && !(st.l.IsSource != nil && st.l.IsSource(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // attachToJoin tries to classify cond as a condition of j (an equality pair
@@ -213,7 +245,7 @@ func (st *lowerState) retryDeferred() {
 			}
 		}
 		if ok {
-			st.plan = &Select{Child: st.plan, Pred: p}
+			st.plan = st.placePred(st.plan, p)
 		} else {
 			remaining = append(remaining, p)
 		}

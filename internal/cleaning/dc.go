@@ -14,6 +14,10 @@ type DCConfig struct {
 	// (the paper's 0.01%-selectivity price filter). CleanM's normalization
 	// guarantees this filter is pushed below the join.
 	LeftFilter func(types.Value) bool
+	// RightFilter, when non-nil, pre-filters the right side the same way
+	// (the t2-only conjuncts, e.g. t2.price < Y). Pred must still imply it:
+	// the filters only narrow the candidates, they never decide a pair.
+	RightFilter func(types.Value) bool
 	// Pred is the violation predicate over a candidate pair.
 	Pred func(t1, t2 types.Value) bool
 	// Band supplies the numeric attribute the theta join sorts and prunes
@@ -31,14 +35,17 @@ type DCConfig struct {
 // strategy blows the context's comparison budget — how the experiments
 // reproduce the paper's "fails to terminate" rows (Table 5).
 func DCCheck(ds *engine.Dataset, cfg DCConfig) (*engine.Dataset, error) {
-	left := ds
+	left, right := ds, ds
 	if cfg.LeftFilter != nil {
 		left = ds.Filter("dc:filter", cfg.LeftFilter)
+	}
+	if cfg.RightFilter != nil {
+		right = ds.Filter("dc:filter-right", cfg.RightFilter)
 	}
 	combine := engine.PairCombine
 	switch cfg.Strategy {
 	case physical.ThetaCartesian:
-		return left.CartesianFilter("dc", ds, cfg.Pred, combine)
+		return left.CartesianFilter("dc", right, cfg.Pred, combine)
 	case physical.ThetaMinMax:
 		overlap := func(lmin, lmax, rmin, rmax float64) bool {
 			switch cfg.BandOp {
@@ -50,7 +57,7 @@ func DCCheck(ds *engine.Dataset, cfg DCConfig) (*engine.Dataset, error) {
 				return true
 			}
 		}
-		return left.MinMaxBlockJoin("dc", ds, cfg.Band, cfg.Band, overlap, cfg.Pred, combine)
+		return left.MinMaxBlockJoin("dc", right, cfg.Band, cfg.Band, overlap, cfg.Pred, combine)
 	default:
 		stats := engine.ThetaJoinStats{SortKey: cfg.Band}
 		switch cfg.BandOp {
@@ -59,6 +66,6 @@ func DCCheck(ds *engine.Dataset, cfg DCConfig) (*engine.Dataset, error) {
 		case ">", ">=":
 			stats.Prune = func(_, lmax, rmin, _ float64) bool { return lmax < rmin }
 		}
-		return left.ThetaJoin("dc", ds, stats, cfg.Pred, combine)
+		return left.ThetaJoin("dc", right, stats, cfg.Pred, combine)
 	}
 }

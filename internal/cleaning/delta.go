@@ -86,9 +86,10 @@ func flipOp(op string) string {
 // DeltaDCPairs enumerates the violating pairs of cfg that touch at least one
 // fresh row: fresh t1 against every row (fresh×fresh included, self-pairs
 // included, exactly as the self-join enumerates them), plus old t1 against
-// fresh t2. Rows are taken in the dataset's global order, so together with a
-// prior run's pairs over the old rows this reproduces the full check's pair
-// multiset.
+// fresh t2. t1 candidates are limited to rows passing LeftFilter and t2
+// candidates to rows passing RightFilter. Rows are taken in the dataset's
+// global order, so together with a prior run's pairs over the old rows this
+// reproduces the full check's pair multiset.
 //
 // Every candidate admitted by the band range is charged one comparison, the
 // same accounting rule the join strategies apply to their unpruned cells; the
@@ -121,28 +122,35 @@ func DeltaDCPairs(ds *engine.Dataset, fresh func(i int, v types.Value) bool, cfg
 	passesLeft := func(v types.Value) bool {
 		return cfg.LeftFilter == nil || cfg.LeftFilter(v)
 	}
-
-	// Old left-side rows: the t1 candidates of the old×fresh half.
-	var oldLeft []int
-	for i, r := range rows {
-		if !freshMask[i] && passesLeft(r) {
-			oldLeft = append(oldLeft, i)
-		}
+	passesRight := func(v types.Value) bool {
+		return cfg.RightFilter == nil || cfg.RightFilter(v)
 	}
 
+	// Old left-side rows are the t1 candidates of the old×fresh half; right
+	// rows (old and fresh) the t2 candidates of the fresh×all half. Only
+	// those and the fresh rows need a band value.
 	pruned := cfg.Band != nil
 	var band []float64
-	var allView, oldLeftView []bandRow
 	if pruned {
 		band = make([]float64, n)
-		for i, r := range rows {
+	}
+	var oldLeft, right []int
+	for i, r := range rows {
+		inLeft := !freshMask[i] && passesLeft(r)
+		inRight := passesRight(r)
+		if inLeft {
+			oldLeft = append(oldLeft, i)
+		}
+		if inRight {
+			right = append(right, i)
+		}
+		if pruned && (inLeft || inRight || freshMask[i]) {
 			band[i] = cfg.Band(r)
 		}
-		allIdx := make([]int, n)
-		for i := range allIdx {
-			allIdx[i] = i
-		}
-		allView = sortByBand(allIdx, band)
+	}
+	var rightView, oldLeftView []bandRow
+	if pruned {
+		rightView = sortByBand(right, band)
 		oldLeftView = sortByBand(oldLeft, band)
 	}
 
@@ -157,7 +165,7 @@ func DeltaDCPairs(ds *engine.Dataset, fresh func(i int, v types.Value) bool, cfg
 		return nil
 	}
 
-	// Fresh t1 × every t2 (the new×new and new×old halves).
+	// Fresh t1 × every right t2 (the new×new and new×old halves).
 	for _, i := range freshIdx {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -167,28 +175,31 @@ func DeltaDCPairs(ds *engine.Dataset, fresh func(i int, v types.Value) bool, cfg
 			continue
 		}
 		if pruned {
-			lo, hi := bandRange(allView, band[i], cfg.BandOp)
-			for _, c := range allView[lo:hi] {
+			lo, hi := bandRange(rightView, band[i], cfg.BandOp)
+			for _, c := range rightView[lo:hi] {
 				if err := emit(t1, rows[c.idx]); err != nil {
 					return nil, err
 				}
 			}
 		} else {
-			for _, t2 := range rows {
-				if err := emit(t1, t2); err != nil {
+			for _, j := range right {
+				if err := emit(t1, rows[j]); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 
-	// Old t1 × fresh t2 (the old×new half; old t1 keeps the two loops
+	// Old t1 × fresh right t2 (the old×new half; old t1 keeps the two loops
 	// disjoint, so no pair is enumerated twice).
 	for _, j := range freshIdx {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		t2 := rows[j]
+		if !passesRight(t2) {
+			continue
+		}
 		if pruned {
 			lo, hi := bandRange(oldLeftView, band[j], flipOp(cfg.BandOp))
 			for _, c := range oldLeftView[lo:hi] {

@@ -321,14 +321,13 @@ func mergeSortedRuns(a []types.Value, aKeys []string, b []types.Value, bKeys []s
 var pairSchema = types.NewSchema("a", "b")
 
 // compileDenialCheck compiles the analyzed DENIAL structure into the
-// cleaning layer's check configuration, mirroring buildRepairConfig's
-// predicate and filter compilation but without requiring a REPAIR clause:
+// cleaning layer's check configuration, without requiring a REPAIR clause:
 // the band (when any same-attribute cross inequality exists) is only a
 // pruning aid — any conjunct of the predicate is a sound necessary
 // condition — so detect-only constraints without one still work, just
-// without pruning.
+// without pruning. buildRepairConfig starts from it and re-picks the band.
 func compileDenialCheck(spec *lang.DenialSpec, theta physical.ThetaStrategy, params map[string]types.Value) (cleaning.DCConfig, error) {
-	var cfg cleaning.DCConfig
+	cfg := cleaning.DCConfig{Strategy: theta}
 	comp := monoid.NewCompiler()
 	comp.Params = params
 
@@ -340,20 +339,13 @@ func compileDenialCheck(spec *lang.DenialSpec, theta physical.ThetaStrategy, par
 		v, err := predCE([]types.Value{t1, t2})
 		return err == nil && v.Bool()
 	}
-
-	if len(spec.T1Conjuncts) > 0 {
-		f := spec.T1Conjuncts[0]
-		for _, c := range spec.T1Conjuncts[1:] {
-			f = &monoid.BinOp{Op: "and", L: f, R: c}
-		}
-		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
-		if err != nil {
-			return cfg, err
-		}
-		cfg.LeftFilter = func(v types.Value) bool {
-			out, err := ce([]types.Value{v})
-			return err == nil && out.Bool()
-		}
+	// T1Conjuncts include the WHERE clause, which Pred lacks; the t2
+	// conjuncts stay in Pred, so RightFilter only narrows the candidates.
+	if cfg.LeftFilter, err = sideFilter(comp, spec.T1Conjuncts, spec.Alias); err != nil {
+		return cfg, err
+	}
+	if cfg.RightFilter, err = sideFilter(comp, spec.T2Conjuncts, spec.SecondAlias); err != nil {
+		return cfg, err
 	}
 
 	for _, c := range spec.CrossConjuncts {
@@ -361,22 +353,50 @@ func compileDenialCheck(spec *lang.DenialSpec, theta physical.ThetaStrategy, par
 		if t1Expr == nil || !same {
 			continue
 		}
-		bandCE, err := comp.Compile(t1Expr, map[string]int{spec.Alias: 0})
-		if err != nil {
+		if cfg.Band, err = bandFunc(comp, t1Expr, spec.Alias); err != nil {
 			return cfg, err
-		}
-		cfg.Band = func(v types.Value) float64 {
-			out, err := bandCE([]types.Value{v})
-			if err != nil {
-				return 0
-			}
-			return out.Float()
 		}
 		cfg.BandOp = op
 		break
 	}
-	cfg.Strategy = theta
 	return cfg, nil
+}
+
+// sideFilter compiles the conjunction of conjuncts, which read only alias,
+// into a row predicate; nil when there are none. A row whose evaluation
+// errors fails the filter.
+func sideFilter(comp *monoid.Compiler, conjuncts []monoid.Expr, alias string) (func(types.Value) bool, error) {
+	if len(conjuncts) == 0 {
+		return nil, nil
+	}
+	f := conjuncts[0]
+	for _, c := range conjuncts[1:] {
+		f = monoid.And(f, c)
+	}
+	ce, err := comp.Compile(f, map[string]int{alias: 0})
+	if err != nil {
+		return nil, err
+	}
+	return func(v types.Value) bool {
+		out, err := ce([]types.Value{v})
+		return err == nil && out.Bool()
+	}, nil
+}
+
+// bandFunc compiles a numeric expression over alias into a band attribute;
+// a row whose evaluation errors reads 0.
+func bandFunc(comp *monoid.Compiler, e monoid.Expr, alias string) (func(types.Value) float64, error) {
+	ce, err := comp.Compile(e, map[string]int{alias: 0})
+	if err != nil {
+		return nil, err
+	}
+	return func(v types.Value) float64 {
+		out, err := ce([]types.Value{v})
+		if err != nil {
+			return 0
+		}
+		return out.Float()
+	}, nil
 }
 
 // compileDedupDelta compiles the analyzed DEDUP structure into the delta
@@ -392,19 +412,9 @@ func (pr *Prepared) compileDedupDelta(params map[string]types.Value) (incr.Dedup
 		comp.Builtins[name] = fn
 	}
 
-	if len(spec.Where) > 0 {
-		f := spec.Where[0]
-		for _, c := range spec.Where[1:] {
-			f = &monoid.BinOp{Op: "and", L: f, R: c}
-		}
-		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
-		if err != nil {
-			return d, err
-		}
-		d.Keep = func(v types.Value) bool {
-			out, err := ce([]types.Value{v})
-			return err == nil && out.Bool()
-		}
+	var err error
+	if d.Keep, err = sideFilter(comp, spec.Where, spec.Alias); err != nil {
+		return d, err
 	}
 
 	blockCE, err := comp.Compile(spec.BlockAttr, map[string]int{spec.Alias: 0})

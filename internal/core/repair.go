@@ -98,32 +98,9 @@ func buildRepairConfig(spec *lang.DenialSpec, theta physical.ThetaStrategy, para
 	if err != nil {
 		return cfg, err
 	}
-	comp := monoid.NewCompiler()
-	comp.Params = params
-
-	predCE, err := comp.Compile(spec.Pred, map[string]int{spec.Alias: 0, spec.SecondAlias: 1})
+	check, err := compileDenialCheck(spec, theta, params)
 	if err != nil {
 		return cfg, err
-	}
-	pred := func(t1, t2 types.Value) bool {
-		v, err := predCE([]types.Value{t1, t2})
-		return err == nil && v.Bool()
-	}
-
-	var leftFilter func(types.Value) bool
-	if len(spec.T1Conjuncts) > 0 {
-		f := spec.T1Conjuncts[0]
-		for _, c := range spec.T1Conjuncts[1:] {
-			f = &monoid.BinOp{Op: "and", L: f, R: c}
-		}
-		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
-		if err != nil {
-			return cfg, err
-		}
-		leftFilter = func(v types.Value) bool {
-			out, err := ce([]types.Value{v})
-			return err == nil && out.Bool()
-		}
 	}
 
 	// Classify the cross conjuncts: per-side inequality comparisons of the
@@ -153,25 +130,15 @@ func buildRepairConfig(spec *lang.DenialSpec, theta physical.ThetaStrategy, para
 	if bandExpr == nil {
 		return cfg, fmt.Errorf("core: REPAIR needs a second same-attribute inequality conjunct to order tuples")
 	}
-	bandCE, err := comp.Compile(bandExpr, map[string]int{spec.Alias: 0})
-	if err != nil {
+	comp := monoid.NewCompiler()
+	comp.Params = params
+	if check.Band, err = bandFunc(comp, bandExpr, spec.Alias); err != nil {
 		return cfg, err
 	}
+	check.BandOp = bandOp
 
 	cfg = cleaning.DCRepairConfig{
-		Check: cleaning.DCConfig{
-			LeftFilter: leftFilter,
-			Pred:       pred,
-			Band: func(v types.Value) float64 {
-				out, err := bandCE([]types.Value{v})
-				if err != nil {
-					return 0
-				}
-				return out.Float()
-			},
-			BandOp:   bandOp,
-			Strategy: theta,
-		},
+		Check:      check,
 		RepairAttr: func(v types.Value) float64 { return v.Field(col).Float() },
 		RepairCol:  col,
 		RepairOp:   repairOp,

@@ -446,8 +446,10 @@ func TestPhysicalAgreesWithEvaluator(t *testing.T) {
 }
 
 // randomQueryComp builds random bag/set comprehensions of the query shapes
-// the lowering supports: scans, joins via equality predicates, filters,
-// unnests of list fields.
+// the lowering supports: scans, equi-, theta and cross joins, filters,
+// unnests of list fields. Join shapes interleave one-sided filters on either
+// input before and after the cross predicate, so lowering pushes them below
+// the join in every order.
 func randomQueryComp(rng *rand.Rand) *monoid.Comprehension {
 	m := []monoid.Monoid{monoid.Bag, monoid.Set}[rng.Intn(2)]
 	quals := []monoid.Qual{
@@ -456,9 +458,24 @@ func randomQueryComp(rng *rand.Rand) *monoid.Comprehension {
 	vars := []string{"x"}
 	if rng.Intn(2) == 0 {
 		quals = append(quals, &monoid.Generator{Var: "y", Source: monoid.V("other")})
-		quals = append(quals, &monoid.Pred{Cond: monoid.Eq(
-			monoid.F(monoid.V("x"), "grp"), monoid.F(monoid.V("y"), "grp"))})
 		vars = append(vars, "y")
+		oneSided := func() {
+			for n := rng.Intn(3); n > 0; n-- {
+				v := monoid.V([]string{"x", "y"}[rng.Intn(2)])
+				quals = append(quals, &monoid.Pred{Cond: monoid.Lt(
+					monoid.F(v, "val"), monoid.CInt(int64(rng.Intn(50))))})
+			}
+		}
+		oneSided()
+		switch rng.Intn(3) {
+		case 0:
+			quals = append(quals, &monoid.Pred{Cond: monoid.Eq(
+				monoid.F(monoid.V("x"), "grp"), monoid.F(monoid.V("y"), "grp"))})
+		case 1:
+			quals = append(quals, &monoid.Pred{Cond: monoid.Lt(
+				monoid.F(monoid.V("x"), "val"), monoid.F(monoid.V("y"), "val"))})
+		}
+		oneSided()
 	}
 	if rng.Intn(2) == 0 {
 		quals = append(quals, &monoid.Pred{Cond: monoid.Gt(
