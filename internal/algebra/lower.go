@@ -181,12 +181,10 @@ func (st *lowerState) attachToJoin(j *Join, cond monoid.Expr) bool {
 		rRefs := sidesOf(bo.R, leftBinds, rightBinds)
 		switch {
 		case lRefs == sideLeft && rRefs == sideRight:
-			j.LeftKeys = append(j.LeftKeys, bo.L)
-			j.RightKeys = append(j.RightKeys, bo.R)
+			addJoinKey(j, bo.L, bo.R)
 			return true
 		case lRefs == sideRight && rRefs == sideLeft:
-			j.LeftKeys = append(j.LeftKeys, bo.R)
-			j.RightKeys = append(j.RightKeys, bo.L)
+			addJoinKey(j, bo.R, bo.L)
 			return true
 		}
 	}
@@ -196,6 +194,17 @@ func (st *lowerState) attachToJoin(j *Join, cond monoid.Expr) bool {
 		j.Theta = conjoin(j.Theta, cond)
 	}
 	return true
+}
+
+// addJoinKey makes j an equi-join on lk = rk. A hash join applies only its
+// residual, so a theta condition gathered before the first key moves there.
+func addJoinKey(j *Join, lk, rk monoid.Expr) {
+	if j.Theta != nil {
+		j.Residual = conjoin(j.Residual, j.Theta)
+		j.Theta = nil
+	}
+	j.LeftKeys = append(j.LeftKeys, lk)
+	j.RightKeys = append(j.RightKeys, rk)
 }
 
 type side int

@@ -128,3 +128,46 @@ func TestLowerPredicateReadingSourceIsPushed(t *testing.T) {
 		"    Select[(o.v < count{ d | d <- dict })]",
 		"      Scan(orders as o)")
 }
+
+// TestLowerThetaBeforeEqualityMovesToResidual: a cross predicate that
+// arrives before the equality first becomes the join's theta condition. When
+// the equality then turns the join into a hash join, which applies only its
+// residual, the theta condition must move into the residual rather than be
+// dropped. The pushed one-sided filter in between is what keeps the join on
+// top for the equality to find.
+func TestLowerThetaBeforeEqualityMovesToResidual(t *testing.T) {
+	for _, tc := range []struct {
+		src, theta string
+		want       []string
+	}{{
+		src:   "SELECT c.name AS n, o.orderkey AS ok FROM customer c, lineitem o WHERE c.acctbal < o.extendedprice and o.discount > 0.05 and c.custkey = o.suppkey",
+		theta: "(c.acctbal < o.extendedprice)",
+		want: []string{
+			"Reduce[bag/{n: c.name, ok: o.orderkey}]",
+			"  EquiJoin[c.custkey=o.suppkey]",
+			"    Scan(customer as c)",
+			"    Select[(o.discount > 0.05)]",
+			"      Scan(lineitem as o)",
+		},
+	}, {
+		src:   "SELECT * FROM lineitem t1 DENIAL(t2, t1.extendedprice < t2.extendedprice and t2.discount < 0.05 and t1.suppkey = t2.suppkey)",
+		theta: "(t1.extendedprice < t2.extendedprice)",
+		want: []string{
+			"Reduce[bag/{a: t1, b: t2}]",
+			"  EquiJoin[t1.suppkey=t2.suppkey]",
+			"    Scan(lineitem as t1)",
+			"    Select[(t2.discount < 0.05)]",
+			"      Scan(lineitem as t2)",
+		},
+	}} {
+		p := lowerQuery(t, tc.src)
+		wantPlan(t, p, tc.want...)
+		j := p.Children()[0].(*Join)
+		if j.Theta != nil {
+			t.Fatalf("%s: hash join keeps theta %s, which execution ignores", tc.src, j.Theta)
+		}
+		if j.Residual == nil || j.Residual.String() != tc.theta {
+			t.Fatalf("%s: residual = %v, want %s", tc.src, j.Residual, tc.theta)
+		}
+	}
+}

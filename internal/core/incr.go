@@ -224,7 +224,8 @@ func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string
 // fresh pairs, not the whole cached output.
 func (pr *Prepared) denialDeltaRows(ds *engine.Dataset, freshAt func(int, types.Value) bool, base DeltaBase, params map[string]types.Value) ([]types.Value, []string, error) {
 	spec := pr.tasks[0].Denial
-	cfg, err := compileDenialCheck(spec, pr.pipeline.Config.Theta, params)
+	band, bandOp := detectionBand(spec)
+	cfg, err := compileDenialCheck(spec, pr.pipeline.Config.Theta, params, band, bandOp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -321,12 +322,10 @@ func mergeSortedRuns(a []types.Value, aKeys []string, b []types.Value, bKeys []s
 var pairSchema = types.NewSchema("a", "b")
 
 // compileDenialCheck compiles the analyzed DENIAL structure into the
-// cleaning layer's check configuration, without requiring a REPAIR clause:
-// the band (when any same-attribute cross inequality exists) is only a
-// pruning aid — any conjunct of the predicate is a sound necessary
-// condition — so detect-only constraints without one still work, just
-// without pruning. buildRepairConfig starts from it and re-picks the band.
-func compileDenialCheck(spec *lang.DenialSpec, theta physical.ThetaStrategy, params map[string]types.Value) (cleaning.DCConfig, error) {
+// cleaning layer's check configuration, without requiring a REPAIR clause.
+// band, when non-nil, is the t1-side expression of a same-attribute cross
+// inequality (bandOp normalized t1-first); each caller picks its own.
+func compileDenialCheck(spec *lang.DenialSpec, theta physical.ThetaStrategy, params map[string]types.Value, band monoid.Expr, bandOp string) (cleaning.DCConfig, error) {
 	cfg := cleaning.DCConfig{Strategy: theta}
 	comp := monoid.NewCompiler()
 	comp.Params = params
@@ -347,19 +346,26 @@ func compileDenialCheck(spec *lang.DenialSpec, theta physical.ThetaStrategy, par
 	if cfg.RightFilter, err = sideFilter(comp, spec.T2Conjuncts, spec.SecondAlias); err != nil {
 		return cfg, err
 	}
-
-	for _, c := range spec.CrossConjuncts {
-		t1Expr, op, same := sameAttrInequality(c, spec)
-		if t1Expr == nil || !same {
-			continue
-		}
-		if cfg.Band, err = bandFunc(comp, t1Expr, spec.Alias); err != nil {
+	if band != nil {
+		if cfg.Band, err = bandFunc(comp, band, spec.Alias); err != nil {
 			return cfg, err
 		}
-		cfg.BandOp = op
-		break
+		cfg.BandOp = bandOp
 	}
 	return cfg, nil
+}
+
+// detectionBand picks the first same-attribute cross inequality as the
+// band of a detect-only check. The band is only a pruning aid — any
+// conjunct of the predicate is a sound necessary condition — so a
+// constraint without one returns nil and runs unpruned.
+func detectionBand(spec *lang.DenialSpec) (monoid.Expr, string) {
+	for _, c := range spec.CrossConjuncts {
+		if t1Expr, op, same := sameAttrInequality(c, spec); t1Expr != nil && same {
+			return t1Expr, op
+		}
+	}
+	return nil, ""
 }
 
 // sideFilter compiles the conjunction of conjuncts, which read only alias,

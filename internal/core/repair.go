@@ -98,11 +98,6 @@ func buildRepairConfig(spec *lang.DenialSpec, theta physical.ThetaStrategy, para
 	if err != nil {
 		return cfg, err
 	}
-	check, err := compileDenialCheck(spec, theta, params)
-	if err != nil {
-		return cfg, err
-	}
-
 	// Classify the cross conjuncts: per-side inequality comparisons of the
 	// same attribute either relax (the repair column) or order (the band).
 	var bandExpr monoid.Expr
@@ -130,12 +125,10 @@ func buildRepairConfig(spec *lang.DenialSpec, theta physical.ThetaStrategy, para
 	if bandExpr == nil {
 		return cfg, fmt.Errorf("core: REPAIR needs a second same-attribute inequality conjunct to order tuples")
 	}
-	comp := monoid.NewCompiler()
-	comp.Params = params
-	if check.Band, err = bandFunc(comp, bandExpr, spec.Alias); err != nil {
+	check, err := compileDenialCheck(spec, theta, params, bandExpr, bandOp)
+	if err != nil {
 		return cfg, err
 	}
-	check.BandOp = bandOp
 
 	cfg = cleaning.DCRepairConfig{
 		Check:      check,

@@ -155,3 +155,35 @@ func TestThetaSelfJoinSmall(t *testing.T) {
 		t.Fatalf("pairs = %v", res.Rows())
 	}
 }
+
+// TestDenialThetaThenEqualityThenFilter: a DENIAL whose theta conjunct comes
+// before a t2-only filter and an equality runs as a hash join on the
+// equality, with the theta conjunct still applied to every pair.
+func TestDenialThetaThenEqualityThenFilter(t *testing.T) {
+	rows := datagen.GenLineitem(datagen.LineitemConfig{Rows: 600, Seed: 4})
+	ctx := engine.NewContext(2)
+	p := NewPipeline(ctx, map[string]*engine.Dataset{
+		"lineitem": engine.FromValues(ctx, rows),
+	})
+	res, err := p.Run(`SELECT * FROM lineitem t1
+DENIAL(t2, t1.extendedprice < t2.extendedprice and t2.discount < 0.05 and t1.suppkey = t2.suppkey)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, t1 := range rows {
+		for _, t2 := range rows {
+			if t1.Field("extendedprice").Float() < t2.Field("extendedprice").Float() &&
+				t2.Field("discount").Float() < 0.05 &&
+				types.Equal(t1.Field("suppkey"), t2.Field("suppkey")) {
+				want++
+			}
+		}
+	}
+	if got := len(res.Rows()); got != want {
+		t.Fatalf("violations = %d, want %d", got, want)
+	}
+	if want == 0 {
+		t.Fatal("test data should contain violations")
+	}
+}

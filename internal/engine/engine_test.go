@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -547,34 +546,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i := range norm {
 			if norm[i] != baseline[i] {
 				t.Fatalf("workers=%d changed results", workers)
-			}
-		}
-	}
-}
-
-// TestSortByKeyFMatchesDirectStableSort: evaluating each key once must give
-// the order a stable sort that re-evaluates the key per comparison gives,
-// ties and NaN keys included.
-func TestSortByKeyFMatchesDirectStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	key := func(v types.Value) float64 {
-		if v.Field("v").Int()%13 == 0 {
-			return math.NaN()
-		}
-		return float64(v.Field("k").Str()[0])
-	}
-	for trial := 0; trial < 20; trial++ {
-		// Unique v per row, so a stability slip shows in the keys.
-		rows := make([]types.Value, rng.Intn(300))
-		for i := range rows {
-			rows[i] = kv(string(rune('a'+rng.Intn(8))), int64(i))
-		}
-		want := append([]types.Value(nil), rows...)
-		sort.SliceStable(want, func(i, j int) bool { return key(want[i]) < key(want[j]) })
-		sortByKeyF(rows, key)
-		for i := range rows {
-			if types.Key(rows[i]) != types.Key(want[i]) {
-				t.Fatalf("trial %d: row %d = %s, want %s", trial, i, types.Key(rows[i]), types.Key(want[i]))
 			}
 		}
 	}

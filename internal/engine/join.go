@@ -399,22 +399,8 @@ func chargeBudgetOverflow(m *Metrics, budget int64) {
 	}
 }
 
-// sortByKeyF stable-sorts vs by key, evaluating key once per row. It runs
-// the same stable sort over the same comparisons as sorting vs directly, so
-// the resulting order is identical.
 func sortByKeyF(vs []types.Value, key func(types.Value) float64) {
-	type keyed struct {
-		k float64
-		v types.Value
-	}
-	ks := make([]keyed, len(vs))
-	for i, v := range vs {
-		ks[i] = keyed{key(v), v}
-	}
-	sort.SliceStable(ks, func(i, j int) bool { return ks[i].k < ks[j].k })
-	for i := range ks {
-		vs[i] = ks[i].v
-	}
+	sort.SliceStable(vs, func(i, j int) bool { return key(vs[i]) < key(vs[j]) })
 }
 
 func splitBuckets(vs []types.Value, n int) [][]types.Value {

@@ -447,9 +447,10 @@ func TestPhysicalAgreesWithEvaluator(t *testing.T) {
 
 // randomQueryComp builds random bag/set comprehensions of the query shapes
 // the lowering supports: scans, equi-, theta and cross joins, filters,
-// unnests of list fields. Join shapes interleave one-sided filters on either
-// input before and after the cross predicate, so lowering pushes them below
-// the join in every order.
+// unnests of list fields. Join shapes take an equality, a theta predicate,
+// both (in either order) or neither, with one-sided filters on either input
+// before, between and after them, so lowering pushes the filters below the
+// join in every order and a theta predicate meets a later equality key.
 func randomQueryComp(rng *rand.Rand) *monoid.Comprehension {
 	m := []monoid.Monoid{monoid.Bag, monoid.Set}[rng.Intn(2)]
 	quals := []monoid.Qual{
@@ -466,16 +467,14 @@ func randomQueryComp(rng *rand.Rand) *monoid.Comprehension {
 					monoid.F(v, "val"), monoid.CInt(int64(rng.Intn(50))))})
 			}
 		}
+		eq := monoid.Eq(monoid.F(monoid.V("x"), "grp"), monoid.F(monoid.V("y"), "grp"))
+		lt := monoid.Lt(monoid.F(monoid.V("x"), "val"), monoid.F(monoid.V("y"), "val"))
+		cross := [][]monoid.Expr{nil, {eq}, {lt}, {eq, lt}, {lt, eq}}[rng.Intn(5)]
 		oneSided()
-		switch rng.Intn(3) {
-		case 0:
-			quals = append(quals, &monoid.Pred{Cond: monoid.Eq(
-				monoid.F(monoid.V("x"), "grp"), monoid.F(monoid.V("y"), "grp"))})
-		case 1:
-			quals = append(quals, &monoid.Pred{Cond: monoid.Lt(
-				monoid.F(monoid.V("x"), "val"), monoid.F(monoid.V("y"), "val"))})
+		for _, c := range cross {
+			quals = append(quals, &monoid.Pred{Cond: c})
+			oneSided()
 		}
-		oneSided()
 	}
 	if rng.Intn(2) == 0 {
 		quals = append(quals, &monoid.Pred{Cond: monoid.Gt(
