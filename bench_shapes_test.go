@@ -1,30 +1,23 @@
-// Columnar-vs-row benchmarks: the same query, the same data, the same
-// worker count — once over dictionary-encoded column batches (the default)
-// and once over boxed rows (WithRowExecution). The workloads are the
-// join-heavy paths the columnar refactor targets: selective filters feeding
-// an equi join, a theta self join (DENIAL), and the similarity-cached DEDUP
-// pipeline.
+// Query-shape benchmarks: warm, plan-cached executions of the join-heavy
+// paths the columnar engine targets — a vectorized scan filter, selective
+// filters feeding an equi join, a theta self join (DENIAL), and the
+// similarity-cached DEDUP pipeline.
 //
-//	go test -bench BenchmarkColumnarVsRow -benchmem
+//	go test -bench BenchmarkQueryShapes -benchmem
 package cleandb_test
 
 import (
-	"fmt"
 	"testing"
 
 	"cleandb"
 	"cleandb/internal/datagen"
 )
 
-// columnarBenchDB opens a DB in the requested mode with both relations
-// registered and loaded, so the timed loop measures execution, not parsing.
-func columnarBenchDB(b *testing.B, columnar bool, custRows, lineRows int) *cleandb.DB {
+// shapeBenchDB opens a DB with both relations registered and loaded, so the
+// timed loop measures execution, not parsing.
+func shapeBenchDB(b *testing.B, custRows, lineRows int) *cleandb.DB {
 	b.Helper()
-	opts := []cleandb.Option{cleandb.WithWorkers(8)}
-	if !columnar {
-		opts = append(opts, cleandb.WithRowExecution())
-	}
-	db := cleandb.Open(opts...)
+	db := cleandb.Open(cleandb.WithWorkers(8))
 	cust := datagen.GenCustomer(datagen.CustomerConfig{Rows: custRows, Seed: 7})
 	db.RegisterRows("customer", cust.Rows)
 	db.RegisterRows("lineitem", datagen.GenLineitem(datagen.LineitemConfig{
@@ -33,7 +26,7 @@ func columnarBenchDB(b *testing.B, columnar bool, custRows, lineRows int) *clean
 	return db
 }
 
-func BenchmarkColumnarVsRow(b *testing.B) {
+func BenchmarkQueryShapes(b *testing.B) {
 	workloads := []struct {
 		name     string
 		query    string
@@ -41,8 +34,8 @@ func BenchmarkColumnarVsRow(b *testing.B) {
 		lineRows int
 	}{
 		{
-			// Vectorized scan filters: typed numeric loops over the column
-			// vectors versus a compiled predicate over boxed rows.
+			// Vectorized scan filter: typed numeric loops over the column
+			// vectors.
 			name:     "filter_scan",
 			query:    `SELECT c.name AS n FROM customer c WHERE c.nationkey = 3`,
 			custRows: 6000, lineRows: 100,
@@ -50,7 +43,7 @@ func BenchmarkColumnarVsRow(b *testing.B) {
 		{
 			// Selective filters on both inputs feeding a hash equi join —
 			// the filters run as vectorized kernels (dictionary-code string
-			// compares, typed numeric loops) on the columnar side.
+			// compares, typed numeric loops).
 			name: "filter_equijoin",
 			query: `SELECT c.name AS n, o.orderkey AS ok FROM customer c, lineitem o
 WHERE c.custkey = o.suppkey and o.discount > 0.09 and c.nationkey = 3`,
@@ -74,29 +67,24 @@ DENIAL(t2, t1.extendedprice < t2.extendedprice and t1.discount > t2.discount and
 		},
 	}
 	for _, w := range workloads {
-		for _, mode := range []struct {
-			name     string
-			columnar bool
-		}{{"columnar", true}, {"row", false}} {
-			b.Run(fmt.Sprintf("%s/%s", w.name, mode.name), func(b *testing.B) {
-				db := columnarBenchDB(b, mode.columnar, w.custRows, w.lineRows)
-				// Warm: loads the sources and populates the plan cache.
+		b.Run(w.name, func(b *testing.B) {
+			db := shapeBenchDB(b, w.custRows, w.lineRows)
+			// Warm: loads the sources and populates the plan cache.
+			res, err := db.Query(w.query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := res.RowCount()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				res, err := db.Query(w.query)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rows := res.RowCount()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := db.Query(w.query)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.RowCount() != rows {
-						b.Fatalf("row count drifted: %d != %d", res.RowCount(), rows)
-					}
+				if res.RowCount() != rows {
+					b.Fatalf("row count drifted: %d != %d", res.RowCount(), rows)
 				}
-			})
-		}
+			}
+		})
 	}
 }

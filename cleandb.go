@@ -63,6 +63,7 @@ import (
 	"sync/atomic"
 
 	"cleandb/internal/core"
+	"cleandb/internal/data"
 	"cleandb/internal/engine"
 	"cleandb/internal/incr"
 	"cleandb/internal/physical"
@@ -168,16 +169,6 @@ func WithStandaloneOps() Option {
 	return func(db *DB) { db.unified = false }
 }
 
-// WithRowExecution disables columnar batch execution: sources load as boxed
-// row partitions and every operator runs its row form, the pre-columnar
-// behaviour. Row and batch execution produce identical results and identical
-// cost metrics stage for stage; this switch exists for ablation and as an
-// escape hatch. It also disables the stats-driven strategy selection, which
-// needs the load-time column statistics.
-func WithRowExecution() Option {
-	return func(db *DB) { db.columnar = false }
-}
-
 // WithGroupStrategy overrides the grouping shuffle (ablation hooks). Pinning
 // a strategy disables the stats-driven automatic selection.
 func WithGroupStrategy(s physical.GroupStrategy) Option {
@@ -208,10 +199,6 @@ type DB struct {
 	ctx     *engine.Context
 	config  physical.Config
 	unified bool
-	// columnar selects batch execution: sources land as dictionary-encoded
-	// column vectors and operators run their vectorized forms where they
-	// exist. Default on; WithRowExecution turns it off.
-	columnar bool
 	// stratPinned records that an ablation option fixed a strategy, which
 	// turns the stats-driven automatic selection off.
 	stratPinned bool
@@ -249,10 +236,6 @@ type DB struct {
 // SourceInfo read state mid-load without waiting behind the parse.
 type sourceEntry struct {
 	src source.Source
-	// batch selects the columnar scan: the source lands as column batches
-	// (native for colbin, converted in parallel for text formats) and row
-	// boxing is deferred to first row-level use.
-	batch bool
 	// onLoad, when set, runs once after a successful load — the DB bumps its
 	// stats epoch there so cached plans prepared against unknown statistics
 	// are not served once the statistics exist.
@@ -265,7 +248,7 @@ type sourceEntry struct {
 	// stages are keyed by it ("scan/<name>"), so all cluster members agree on
 	// the stage without coordination; entries that never went through
 	// register (eager readers load first) leave it empty and always scan
-	// replicated.
+	// the whole source.
 	name string
 
 	loadMu sync.Mutex
@@ -289,8 +272,8 @@ type sourceEntry struct {
 	appendBytes int64
 	memRows     int64
 	// custody, when non-nil, records what this member parsed from disk under
-	// a partition-custody scan (custody.go); nil for replicated loads, where
-	// owned equals total.
+	// a partition-custody scan (custody.go); nil for whole-source loads,
+	// where owned equals total.
 	custody *custodyLoad
 }
 
@@ -325,28 +308,28 @@ func (e *sourceEntry) load(goctx context.Context, ectx *engine.Context) (*engine
 	return ds, nil
 }
 
-// scan parses the source, columnar or row-wise per the entry's mode. Under a
-// cluster session whose exchange divides scans by partition custody, the
-// parse itself is split across the members (custody.go); the result is the
-// same full dataset either way.
+// scan parses the source into column batches: native for colbin, converted
+// in parallel for text formats, with row boxing deferred to first row-level
+// use. Under a cluster session the parse itself is split across the members
+// by partition custody (custody.go); the result is the same full dataset
+// either way.
 func (e *sourceEntry) scan(goctx context.Context, ectx *engine.Context) (*engine.Dataset, error) {
 	if ds, ok, err := e.scanCustody(goctx, ectx); ok {
 		return ds, err
-	}
-	if !e.batch {
-		parts, err := e.src.Scan(goctx, ectx.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return engine.FromPartitions(ectx, parts), nil
 	}
 	batches, rows, err := source.ScanIntoBatches(goctx, e.src, ectx.Workers)
 	if err != nil {
 		return nil, err
 	}
+	return assembleDataset(ectx, batches, rows), nil
+}
+
+// assembleDataset wraps a scan's output: the batches, plus the row form when
+// the scan already built it. Heterogeneous records cannot batch (nil
+// batches), and then the rows are the dataset.
+func assembleDataset(ectx *engine.Context, batches []*data.ColumnBatch, rows [][]types.Value) *engine.Dataset {
 	if batches == nil {
-		// Heterogeneous records cannot batch; the row form is the dataset.
-		return engine.FromPartitions(ectx, rows), nil
+		return engine.FromPartitions(ectx, rows)
 	}
 	// All batches of one source share one dictionary; fold its interning
 	// counters into the instance-wide metrics once.
@@ -358,9 +341,9 @@ func (e *sourceEntry) scan(goctx context.Context, ectx *engine.Context) (*engine
 		}
 	}
 	if rows != nil {
-		return engine.FromBatchesAndRows(ectx, batches, rows), nil
+		return engine.FromBatchesAndRows(ectx, batches, rows)
 	}
-	return engine.FromBatches(ectx, batches), nil
+	return engine.FromBatches(ectx, batches)
 }
 
 // peek reports the load state without triggering — or waiting on — a load.
@@ -376,15 +359,14 @@ func Open(opts ...Option) *DB {
 		ctx:      engine.NewContext(8),
 		catalog:  map[string]*sourceEntry{},
 		unified:  true,
-		columnar: true,
 		cacheCap: 128,
 	}
 	for _, o := range opts {
 		o(db)
 	}
-	// Stats-driven strategy selection needs the columnar load-time statistics
-	// and yields to explicitly pinned ablation strategies.
-	db.config.Auto = db.columnar && !db.stratPinned
+	// Stats-driven strategy selection yields to explicitly pinned ablation
+	// strategies.
+	db.config.Auto = !db.stratPinned
 	db.cache = newPlanCache[*core.Prepared](db.cacheCap)
 	if db.viewCap > 0 {
 		db.views = incr.NewCache[viewEntry](db.viewCap)
@@ -392,10 +374,10 @@ func Open(opts ...Option) *DB {
 	return db
 }
 
-// newEntry builds a catalog slot for src carrying the DB's execution mode
-// and load notification.
+// newEntry builds a catalog slot for src carrying the DB's load
+// notification.
 func (db *DB) newEntry(src source.Source) *sourceEntry {
-	return &sourceEntry{src: src, batch: db.columnar, onLoad: db.noteLoad, id: newEntryID()}
+	return &sourceEntry{src: src, onLoad: db.noteLoad, id: newEntryID()}
 }
 
 // noteLoad runs when any source finishes loading: the stats epoch moves so
@@ -610,8 +592,9 @@ type SourceInfo struct {
 	// for the load. Under a partition-custody scan a member builds only its
 	// owned (plus adopted) chunks and gathers the rest from peers, so Owned*
 	// is the member's share while Rows/Bytes/Partitions stay the totals of
-	// the complete gathered dataset. For replicated or single-process loads
-	// owned equals total.
+	// the complete gathered dataset. For whole-source loads — single-process,
+	// or a source without per-chunk scan planning (XML, in-memory) — owned
+	// equals total.
 	OwnedPartitions int
 	OwnedBytes      int64
 }
@@ -759,19 +742,19 @@ func (db *DB) pipelineWith(catalog core.Catalog) *core.Pipeline {
 // node, which is only sound when all nodes resolve a statement to the same
 // physical plan.
 func (db *DB) ConfigFingerprint() string {
-	return fmt.Sprintf("w%d|b%d|c%t|a%t|g%d|t%d|u%t",
-		db.ctx.Workers, db.ctx.CompBudget, db.columnar, db.config.Auto,
+	return fmt.Sprintf("w%d|b%d|a%t|g%d|t%d|u%t",
+		db.ctx.Workers, db.ctx.CompBudget, db.config.Auto,
 		db.config.Group, db.config.Theta, db.unified)
 }
 
 // cacheKey normalizes the statement text (whitespace runs outside string
 // literals collapse) and tags it with everything else a plan depends on: the
-// strategy configuration, execution mode, unified mode, the catalog epoch
-// and the stats epoch (source statistics feed blocker fitting and strategy
-// selection, so a plan prepared before a load must miss after it).
+// strategy configuration, unified mode, the catalog epoch and the stats
+// epoch (source statistics feed blocker fitting and strategy selection, so a
+// plan prepared before a load must miss after it).
 func (db *DB) cacheKey(query string, epoch, statsEpoch int64) string {
-	return fmt.Sprintf("e%d|s%d|c%t|a%t|g%d|t%d|u%t|%s",
-		epoch, statsEpoch, db.columnar, db.config.Auto,
+	return fmt.Sprintf("e%d|s%d|a%t|g%d|t%d|u%t|%s",
+		epoch, statsEpoch, db.config.Auto,
 		db.config.Group, db.config.Theta, db.unified, normalizeQuery(query))
 }
 
@@ -1109,7 +1092,7 @@ type QueryMetrics struct {
 	// paths); zero for plain Query executions.
 	ExportedRows int64
 	// BatchesEvaluated counts column batches run through vectorized operator
-	// kernels; zero under WithRowExecution.
+	// kernels; zero when the query ran only row-form operators.
 	BatchesEvaluated int64
 	// SimCacheHits / SimCacheMisses count this execution's memoized
 	// pair-similarity probes: a hit answered a similarity comparison from the

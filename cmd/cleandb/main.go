@@ -83,7 +83,6 @@ subcommands:
            [-max-inflight N] [-timeout D] [-drain-timeout D]
            [-role single|coordinator|worker] [-advertise URL]
            [-coordinator URL] [-exchange-timeout D]
-           [-custody partitioned|replicated]
   gen      -kind tpch-lineitem|tpch-customer|dblp|mag -rows N -out path
   convert  -in path -out path [-workers N]
 
@@ -115,11 +114,10 @@ gracefully: health flips to 503, in-flight queries finish (bounded by
 -coordinator http://coord:8080 (each node registers the same -src files).
 Queries sent to the coordinator fan their join work out across the workers,
 exchanging intermediate partitions as binary colbin frames; a worker lost
-mid-query is evicted and its share re-executes elsewhere. Under the default
--custody partitioned, cold source loads divide the same way — each member
-parses only the chunks it owns and gathers the rest — so per-node memory and
-parse work scale down with the cluster size; -custody replicated restores
-every member loading every source whole.`)
+mid-query is evicted and its share re-executes elsewhere. Cold source loads
+divide the same way — each member parses only the chunks it owns and gathers
+the rest — so per-node parse work scales down with the cluster size; XML
+sources, which cannot be split into chunks, load whole on every member.`)
 }
 
 type srcList []string
@@ -471,7 +469,6 @@ func cmdServe(args []string) error {
 	advertise := fs.String("advertise", "", "base URL peers reach this node on (default http://<-http addr>)")
 	coordURL := fs.String("coordinator", "", "worker role: the coordinator's base URL to register with")
 	exchangeTimeout := fs.Duration("exchange-timeout", 30*time.Second, "coordinator role: barrier failure-detector timeout")
-	custody := fs.String("custody", dist.CustodyPartitioned, "coordinator role: partitioned (each member loads only its owned chunks) or replicated (every member loads everything)")
 	viewCache := fs.Int("view-cache", 0, "materialized cleaning views to cache (0 = off); re-polled statements over unchanged or appended sources serve incrementally")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -506,13 +503,9 @@ func cmdServe(args []string) error {
 	switch *role {
 	case "single":
 	case "coordinator":
-		if *custody != dist.CustodyPartitioned && *custody != dist.CustodyReplicated {
-			return fmt.Errorf("serve: unknown -custody %q (want partitioned or replicated)", *custody)
-		}
 		coord := dist.NewCoordinator(db, dist.Config{
 			AdvertiseURL:    *advertise,
 			ExchangeTimeout: *exchangeTimeout,
-			Custody:         *custody,
 			Logf:            cfg.Logf,
 		})
 		defer coord.Close()

@@ -1,23 +1,29 @@
 package cleandb
 
-// Row/batch equivalence property tests: every query must produce identical
-// rows, repairs and cost metrics whether the engine executes over boxed rows
-// (WithRowExecution) or dictionary-encoded column batches (the default).
-// Stage costs are logged identically in both forms by design, so even
-// SimTicks — a straggler-sensitive max over per-worker costs — must match
-// tick for tick. The suite fuzzes over worker/partition counts and over the
-// physical strategy matrix, with strategies pinned so the stats-driven
-// automatic selection cannot make the two sides diverge.
+// Columnar/row equivalence property tests: every query must produce
+// identical rows, repairs and cost metrics whether it runs through a DB,
+// where sources land as dictionary-encoded column batches, or through the
+// row-form reference: the same core.Pipeline and physical.Config over
+// boxed-row datasets, where every operator runs its row form. Stage costs
+// are logged identically in both forms by design, so even SimTicks — a
+// straggler-sensitive max over per-worker costs — must match tick for tick.
+// The suite fuzzes over worker/partition counts and over the physical
+// strategy matrix, with strategies pinned so the stats-driven automatic
+// selection cannot make the two sides diverge.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"cleandb/internal/core"
 	"cleandb/internal/datagen"
+	"cleandb/internal/engine"
 	"cleandb/internal/physical"
+	"cleandb/internal/source"
 	"cleandb/internal/types"
 )
 
@@ -72,17 +78,29 @@ func equivData() (customer, lineitem, dictionary []Value) {
 	return customer, lineitem, dictionary
 }
 
-// equivPair opens a columnar DB and a row DB over identical catalogs.
-func equivPair(workers int, extra ...Option) (col, row *DB) {
+// equivPair opens a DB over the equivalence relations and builds the
+// row-form reference pipeline over the same rows. cfg must match the
+// strategies opts pin (the zero Config for a DB with none pinned).
+func equivPair(workers int, cfg physical.Config, opts ...Option) (*DB, *core.Pipeline) {
 	customer, lineitem, dictionary := equivData()
-	build := func(opts ...Option) *DB {
-		db := Open(append([]Option{WithWorkers(workers)}, opts...)...)
-		db.RegisterRows("customer", customer)
-		db.RegisterRows("lineitem", lineitem)
-		db.RegisterRows("dictionary", dictionary)
-		return db
-	}
-	return build(extra...), build(append([]Option{WithRowExecution()}, extra...)...)
+	db := Open(append([]Option{WithWorkers(workers)}, opts...)...)
+	db.RegisterRows("customer", customer)
+	db.RegisterRows("lineitem", lineitem)
+	db.RegisterRows("dictionary", dictionary)
+	ctx := engine.NewContext(workers)
+	ref := rowReference(ctx, cfg, core.MapCatalog{
+		"customer":   engine.FromValues(ctx, customer),
+		"lineitem":   engine.FromValues(ctx, lineitem),
+		"dictionary": engine.FromValues(ctx, dictionary),
+	})
+	return db, ref
+}
+
+// rowReference is the row-form reference pipeline over boxed-row datasets.
+func rowReference(ctx *engine.Context, cfg physical.Config, catalog core.MapCatalog) *core.Pipeline {
+	p := core.NewPipelineCatalog(ctx, catalog)
+	p.Config = cfg
+	return p
 }
 
 // canonRows renders rows to their canonical keys, preserving order: the two
@@ -98,22 +116,34 @@ func canonRows(rows []Value) []string {
 func diffRows(t *testing.T, label string, got, want []string) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows columnar vs %d rows row-mode", label, len(got), len(want))
+		t.Fatalf("%s: %d rows columnar vs %d rows row-form", label, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("%s: row %d differs:\n columnar: %s\n row-mode: %s", label, i, got[i], want[i])
+			t.Fatalf("%s: row %d differs:\n columnar: %s\n row-form: %s", label, i, got[i], want[i])
 		}
 	}
 }
 
-// checkEquiv runs one query on both DBs and asserts result and metric
-// equality. It returns the columnar execution's metrics so callers can make
-// assertions about the batch path having actually engaged.
-func checkEquiv(t *testing.T, col, row *DB, label, query, repairs string) QueryMetrics {
+// refRepaired returns the reference's final healed rows of source, like
+// Result.RepairedRows.
+func refRepaired(res *core.Result, source string) []Value {
+	var rows []Value
+	for _, s := range res.Repairs() {
+		if s.Source == source {
+			rows = s.Rows
+		}
+	}
+	return rows
+}
+
+// checkResults runs one query on the DB and on the reference and asserts
+// identical rows, task rows and repaired rows. The reference must evaluate
+// no column batches. It returns both sides' results for metric checks.
+func checkResults(t *testing.T, col *DB, ref *core.Pipeline, label, query, repairs string) (*Result, *core.Result) {
 	t.Helper()
 	resC, errC := col.Query(query)
-	resR, errR := row.Query(query)
+	resR, errR := ref.RunContext(context.Background(), query, nil)
 	if (errC == nil) != (errR == nil) {
 		t.Fatalf("%s: columnar err=%v, row err=%v", label, errC, errR)
 	}
@@ -121,35 +151,43 @@ func checkEquiv(t *testing.T, col, row *DB, label, query, repairs string) QueryM
 		t.Fatalf("%s: %v", label, errC)
 	}
 	diffRows(t, label+"/rows", canonRows(resC.Rows()), canonRows(resR.Rows()))
-	for _, task := range resR.TaskNames() {
-		gotC, okC := resC.TaskRowsOK(task)
-		gotR, _ := resR.TaskRowsOK(task)
+	for _, task := range resR.Tasks {
+		gotC, okC := resC.TaskRowsOK(task.Name)
 		if !okC {
-			t.Fatalf("%s: task %q missing from columnar result", label, task)
+			t.Fatalf("%s: task %q missing from columnar result", label, task.Name)
 		}
-		diffRows(t, label+"/task:"+task, canonRows(gotC), canonRows(gotR))
+		diffRows(t, label+"/task:"+task.Name, canonRows(gotC), canonRows(task.Output.Rows()))
 	}
 	if repairs != "" {
 		diffRows(t, label+"/repaired",
-			canonRows(resC.RepairedRows(repairs)), canonRows(resR.RepairedRows(repairs)))
+			canonRows(resC.RepairedRows(repairs)), canonRows(refRepaired(resR, repairs)))
 	}
-	mc, mr := resC.Metrics(), resR.Metrics()
+	if n := resR.Stats.BatchesEvaluated; n != 0 {
+		t.Fatalf("%s: row-form reference evaluated %d batches", label, n)
+	}
+	return resC, resR
+}
+
+// checkEquiv asserts result equality plus equal cost metrics. It returns the
+// columnar execution's metrics so callers can make assertions about the
+// batch path having actually engaged.
+func checkEquiv(t *testing.T, col *DB, ref *core.Pipeline, label, query, repairs string) QueryMetrics {
+	t.Helper()
+	resC, resR := checkResults(t, col, ref, label, query, repairs)
+	mc, mr := resC.Metrics(), resR.Stats
 	if mc.SimTicks != mr.SimTicks || mc.Comparisons != mr.Comparisons ||
 		mc.ShuffledRecords != mr.ShuffledRecords || mc.ShuffledBytes != mr.ShuffledBytes {
-		t.Fatalf("%s: metrics diverge:\n columnar: ticks=%d cmp=%d recs=%d bytes=%d\n row-mode: ticks=%d cmp=%d recs=%d bytes=%d",
+		t.Fatalf("%s: metrics diverge:\n columnar: ticks=%d cmp=%d recs=%d bytes=%d\n row-form: ticks=%d cmp=%d recs=%d bytes=%d",
 			label,
 			mc.SimTicks, mc.Comparisons, mc.ShuffledRecords, mc.ShuffledBytes,
 			mr.SimTicks, mr.Comparisons, mr.ShuffledRecords, mr.ShuffledBytes)
-	}
-	if mr.BatchesEvaluated != 0 {
-		t.Fatalf("%s: row-mode execution evaluated %d batches", label, mr.BatchesEvaluated)
 	}
 	return mc
 }
 
 // TestColumnarEquivalence is the core property: across worker counts and the
-// pinned strategy matrix, columnar execution ≡ row execution — same rows,
-// same repairs, same SimTicks/Comparisons/Shuffle metrics.
+// pinned strategy matrix, columnar execution ≡ the row-form reference — same
+// rows, same repairs, same SimTicks/Comparisons/Shuffle metrics.
 func TestColumnarEquivalence(t *testing.T) {
 	strategies := []struct {
 		name  string
@@ -163,11 +201,11 @@ func TestColumnarEquivalence(t *testing.T) {
 	var sawBatches bool
 	for _, workers := range []int{1, 3, 8} {
 		for _, st := range strategies {
-			col, row := equivPair(workers,
+			col, ref := equivPair(workers, physical.Config{Group: st.group, Theta: st.theta},
 				WithGroupStrategy(st.group), WithThetaStrategy(st.theta))
 			for _, q := range equivQueries {
 				label := fmt.Sprintf("w%d/%s/%s", workers, st.name, q.name)
-				mc := checkEquiv(t, col, row, label, q.query, q.repairs)
+				mc := checkEquiv(t, col, ref, label, q.query, q.repairs)
 				if mc.BatchesEvaluated > 0 {
 					sawBatches = true
 				}
@@ -181,26 +219,15 @@ func TestColumnarEquivalence(t *testing.T) {
 	}
 }
 
-// TestColumnarEquivalenceDefaults compares default columnar execution (with
-// stats-driven strategy selection active) against default row execution.
-// Strategy choices may differ, so only results — rows, tasks, repairs — are
-// compared, plus the columnar-side observability counters.
+// TestColumnarEquivalenceDefaults compares default execution (with
+// stats-driven strategy selection active) against the reference with
+// default strategies. Strategy choices may differ, so only results — rows,
+// tasks, repairs — are compared, plus the columnar-side observability
+// counters.
 func TestColumnarEquivalenceDefaults(t *testing.T) {
-	col, row := equivPair(4)
+	col, ref := equivPair(4, physical.Config{})
 	for _, q := range equivQueries {
-		resC, err := col.Query(q.query)
-		if err != nil {
-			t.Fatalf("%s: columnar: %v", q.name, err)
-		}
-		resR, err := row.Query(q.query)
-		if err != nil {
-			t.Fatalf("%s: row: %v", q.name, err)
-		}
-		diffRows(t, q.name+"/rows", canonRows(resC.Rows()), canonRows(resR.Rows()))
-		if q.repairs != "" {
-			diffRows(t, q.name+"/repaired",
-				canonRows(resC.RepairedRows(q.repairs)), canonRows(resR.RepairedRows(q.repairs)))
-		}
+		checkResults(t, col, ref, q.name, q.query, q.repairs)
 	}
 	m := col.Metrics()
 	if m.BatchesEvaluated == 0 {
@@ -212,14 +239,12 @@ func TestColumnarEquivalenceDefaults(t *testing.T) {
 	if len(m.Strategies) == 0 {
 		t.Fatal("stats-driven selection recorded no strategy choices")
 	}
-	if rm := row.Metrics(); rm.BatchesEvaluated != 0 || rm.DictHits+rm.DictMisses != 0 {
-		t.Fatalf("row mode touched columnar machinery: %+v", rm)
-	}
 }
 
 // TestColumnarEquivalenceFileSources runs the property over the file-backed
 // scan paths: CSV (rows scanned then batched) and colbin (batches decoded
-// natively, no transpose), against the row-mode scan of the same files.
+// natively, no transpose), against the reference over the row scan of the
+// same files.
 func TestColumnarEquivalenceFileSources(t *testing.T) {
 	customer, _, _ := equivData()
 	dir := t.TempDir()
@@ -250,21 +275,27 @@ func TestColumnarEquivalenceFileSources(t *testing.T) {
 	}
 
 	query := `SELECT c.name AS n FROM customer c WHERE c.nationkey < 9 and c.address = '1 oak st'`
+	cfg := physical.Config{Group: physical.GroupAggregate, Theta: physical.ThetaMBucket}
 	for _, src := range []struct{ name, path string }{
 		{"csv", csvPath}, {"colbin", binPath},
 	} {
 		for _, workers := range []int{1, 4} {
-			build := func(opts ...Option) *DB {
-				db := Open(append([]Option{WithWorkers(workers)}, opts...)...)
-				if err := db.RegisterFile("customer", src.path); err != nil {
-					t.Fatal(err)
-				}
-				return db
+			col := Open(WithWorkers(workers), WithGroupStrategy(cfg.Group), WithThetaStrategy(cfg.Theta))
+			if err := col.RegisterFile("customer", src.path); err != nil {
+				t.Fatal(err)
 			}
-			col := build(WithGroupStrategy(physical.GroupAggregate), WithThetaStrategy(physical.ThetaMBucket))
-			row := build(WithRowExecution(), WithGroupStrategy(physical.GroupAggregate), WithThetaStrategy(physical.ThetaMBucket))
+			fs, err := source.FromPath(src.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := fs.Scan(t.Context(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := engine.NewContext(workers)
+			ref := rowReference(ctx, cfg, core.MapCatalog{"customer": engine.FromPartitions(ctx, parts)})
 			label := fmt.Sprintf("%s/w%d", src.name, workers)
-			mc := checkEquiv(t, col, row, label, query, "")
+			mc := checkEquiv(t, col, ref, label, query, "")
 			if mc.BatchesEvaluated == 0 {
 				t.Fatalf("%s: columnar file scan evaluated no batches", label)
 			}

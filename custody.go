@@ -12,16 +12,15 @@ import (
 	"cleandb/internal/types"
 )
 
-// Partition-custody scans: when a cluster session's exchange reports
-// PartitionCustody, a cold source load is divided across the members the way
-// join slots are. Each member parses only the chunks rendezvous hashing
-// assigns it (stage "scan/<name>", masked by dist.PartitionOwner), ships
-// them through the same framed barrier exchange the joins use, and gathers
-// everyone else's — so every member still ends the load with the complete,
-// bit-identical partition vector, and all downstream SPMD execution is
-// untouched. What scales with the member count is the bytes each node parses
-// (and, for colbin, decodes), which is what dominates small clusters under
-// the replicated model.
+// Partition-custody scans: under a cluster session a cold source load is
+// divided across the members the way join slots are. Each member parses only
+// the chunks rendezvous hashing assigns it (stage "scan/<name>", masked by
+// dist.PartitionOwner), ships them through the same framed barrier exchange
+// the joins use, and gathers everyone else's — so every member still ends the
+// load with the complete, bit-identical partition vector, and all downstream
+// SPMD execution is untouched. What scales with the member count is the bytes
+// each node parses (and, for colbin, decodes). Sources that cannot plan
+// per-chunk builds (XML, in-memory) load whole on every member.
 //
 // CSV adds a preliminary "scanvote/<name>" stage: column types are inferred
 // globally, so the per-chunk votes cross the exchange first and every member
@@ -42,10 +41,9 @@ type custodyLoad struct {
 }
 
 // scanCustody runs the custody-masked scan when this load is eligible:
-// the entry is catalog-registered (named), the query carries a
-// partition-custody exchange, and the source can plan per-chunk builds.
-// ok=false falls back to the ordinary replicated scan, which every member
-// executes identically.
+// the entry is catalog-registered (named), the query carries a cluster
+// exchange, and the source can plan per-chunk builds. ok=false falls back to
+// the whole-source scan, which every member executes identically.
 func (e *sourceEntry) scanCustody(goctx context.Context, ectx *engine.Context) (*engine.Dataset, bool, error) {
 	if e.name == "" {
 		return nil, false, nil
@@ -54,15 +52,11 @@ func (e *sourceEntry) scanCustody(goctx context.Context, ectx *engine.Context) (
 	if !ok {
 		return nil, false, nil
 	}
-	pex, ok := ex.(engine.PartitionedExchange)
-	if !ok || !pex.PartitionCustody() {
-		return nil, false, nil
-	}
 	ps, ok := e.src.(source.PartitionedScanner)
 	if !ok {
 		return nil, false, nil
 	}
-	ds, err := e.custodyScan(goctx, ectx, pex, ps)
+	ds, err := e.custodyScan(goctx, ectx, ex, ps)
 	if err != nil {
 		err = &custodyScanError{err}
 	}
@@ -116,27 +110,14 @@ func (e *sourceEntry) custodyScan(goctx context.Context, ectx *engine.Context, e
 	e.custody = load
 	e.mu.Unlock()
 
-	// Dataset assembly mirrors the replicated scan's batch arm; the gathered
-	// rows are identical on every member, and RowsToBatches is deterministic
-	// from rows, so the batches (and their dictionary statistics) are too.
-	if !e.batch {
-		return engine.FromPartitions(ectx, full), nil
-	}
+	// The gathered rows are identical on every member, and RowsToBatches is
+	// deterministic from rows, so the batches (and their dictionary
+	// statistics) are too.
 	batches, err := source.RowsToBatches(goctx, full, ectx.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if batches == nil {
-		return engine.FromPartitions(ectx, full), nil
-	}
-	for _, b := range batches {
-		if b != nil && b.Dict != nil {
-			hits, misses := b.Dict.Stats()
-			ectx.Metrics().AddDictStats(hits, misses)
-			break
-		}
-	}
-	return engine.FromBatchesAndRows(ectx, batches, full), nil
+	return assembleDataset(ectx, batches, full), nil
 }
 
 // gatherVotes runs the type-vote round: vote owned chunks, exchange the vote

@@ -11,6 +11,7 @@ import (
 	"cleandb/internal/incr"
 	"cleandb/internal/lang"
 	"cleandb/internal/monoid"
+	"cleandb/internal/par"
 	"cleandb/internal/physical"
 	"cleandb/internal/sink"
 	"cleandb/internal/types"
@@ -178,7 +179,7 @@ func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string
 	t := pr.tasks[0]
 	tr := TaskResult{
 		Name:   t.Name,
-		Output: NewRowset(partitionRows(merged, job.Workers)),
+		Output: NewRowset(par.Chunks(merged, job.Workers)),
 		Plan:   pr.plans[0],
 		Comp:   pr.norm[0],
 	}

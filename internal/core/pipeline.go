@@ -23,6 +23,7 @@ import (
 	"cleandb/internal/engine"
 	"cleandb/internal/lang"
 	"cleandb/internal/monoid"
+	"cleandb/internal/par"
 	"cleandb/internal/physical"
 	"cleandb/internal/sink"
 	"cleandb/internal/types"
@@ -498,7 +499,7 @@ func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params m
 				// here costs what the first consumer would have paid.
 				rows := unwrapOut(d.Collect())
 				res.canonKeys = sortRowsByKey(rows)
-				out = NewRowset(partitionRows(rows, job.Workers))
+				out = NewRowset(par.Chunks(rows, job.Workers))
 			case d.Batches() != nil:
 				// Columnar result: defer row boxing until a consumer asks.
 				// Batch-capable sinks drain the vectors via primaryDS and
@@ -557,7 +558,7 @@ func (r *Result) RepairedTo(ctx context.Context, source string, s sink.Sink) (in
 	if w < 1 {
 		w = 1
 	}
-	return sink.Pump(ctx, s, partitionRows(rows, w), w)
+	return sink.Pump(ctx, s, par.Chunks(rows, w), w)
 }
 
 // Repairs lists the repair summaries of all tasks that requested one.

@@ -4,7 +4,6 @@ import (
 	"iter"
 	"sync"
 
-	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -125,11 +124,4 @@ func (r *Rowset) Rows() []types.Value {
 		}
 	})
 	return r.flat
-}
-
-// partitionRows slices rows into at most n contiguous chunks without
-// copying (par.Chunks) — how a flat row set (repaired rows) re-enters the
-// partition-parallel export path.
-func partitionRows(rows []types.Value, n int) [][]types.Value {
-	return par.Chunks(rows, n)
 }

@@ -22,13 +22,12 @@ import (
 // coordID is the coordinator's member id: always members[0], never evicted.
 const coordID = "c0"
 
-// Custody modes. Partitioned custody divides cold scans across the members
-// (each loads only the chunks it owns and gathers the rest); replicated
-// custody is the original model where every member loads every source whole.
-const (
-	CustodyPartitioned = "partitioned"
-	CustodyReplicated  = "replicated"
-)
+// CustodyPartitioned names the only custody mode: cold scans divide across
+// the members (each loads only the chunks it owns and gathers the rest).
+//
+// Deprecated: Config.Custody is ignored; the constant remains only for
+// callers that still set it.
+const CustodyPartitioned = "partitioned"
 
 // Config tunes a Coordinator. Zero values select the defaults.
 type Config struct {
@@ -48,18 +47,16 @@ type Config struct {
 	FragmentGrace time.Duration
 	// MaxBody caps exchange request bodies. Default 256 MiB.
 	MaxBody int64
-	// Custody selects how sessions load sources: CustodyPartitioned (the
-	// default) divides cold scans by partition custody, CustodyReplicated
-	// keeps every member loading every source whole.
+	// Custody is ignored: sessions always divide cold scans by partition
+	// custody.
+	//
+	// Deprecated: there is one custody mode; leave the field unset.
 	Custody string
 	// Logf receives cluster events (registrations, evictions); nil drops them.
 	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Custody == "" {
-		c.Custody = CustodyPartitioned
-	}
 	if c.ExchangeTimeout <= 0 {
 		c.ExchangeTimeout = 30 * time.Second
 	}
@@ -191,17 +188,14 @@ func (c *Coordinator) register(url string) string {
 	return id
 }
 
-// noteEviction runs whenever a session evicts a member. Under partitioned
-// custody an eviction can leave the victim cold — its divided scan died with
-// the session while the survivors adopted its chunks and finished warm — a
-// state no later session with the same stamp repairs, because warm members
-// never revisit the scan barrier the cold one parks at. Bumping the cohort
+// noteEviction runs whenever a session evicts a member. An eviction can
+// leave the victim cold — its divided scan died with the session while the
+// survivors adopted its chunks and finished warm — a state no later session
+// with the same stamp repairs, because warm members never revisit the scan
+// barrier the cold one parks at. Bumping the cohort
 // changes the next session's custody stamp, so every member goes cold and
 // re-divides in lockstep and the victim (if still alive) rejoins cleanly.
 func (c *Coordinator) noteEviction(session, member string) {
-	if c.cfg.Custody != CustodyPartitioned {
-		return
-	}
 	c.mu.Lock()
 	c.cohort++
 	c.mu.Unlock()
@@ -292,20 +286,20 @@ func (c *Coordinator) shippableSources() []sourceSpec {
 	return out
 }
 
-// custodyStamp fingerprints one custody division: the mode, the registration
-// cohort and the session membership. Any change to it means the chunks each
-// member owns (or holds) may have moved, so stamped shipped-source keys force
-// a re-registration — and with it a freshly divided cold scan — on every
-// member at once.
-func custodyStamp(mode string, cohort int64, members []string) string {
-	return mode + "/" + strconv.FormatInt(cohort, 10) + "/" + strings.Join(members, ",")
+// custodyStamp fingerprints one custody division: the registration cohort
+// and the session membership. Any change to it means the chunks each member
+// owns (or holds) may have moved, so stamped shipped-source keys force a
+// re-registration — and with it a freshly divided cold scan — on every member
+// at once.
+func custodyStamp(cohort int64, members []string) string {
+	return strconv.FormatInt(cohort, 10) + "/" + strings.Join(members, ",")
 }
 
 // resyncCustody unloads the coordinator's own shippable sources when their
 // custody stamp moved since they were last loaded. Without this a coordinator
-// holding a warm replicated load would stay silent at the scan barrier while
-// workers park on its chunks; unloading drops the warm state so the
-// coordinator cold-loads under the same division the workers use. Unload —
+// holding a warm load from an earlier division would stay silent at the scan
+// barrier while workers park on its chunks; unloading drops the warm state so
+// the coordinator cold-loads under the same division the workers use. Unload —
 // not re-registration — because the entry's version must keep tracking the
 // file's incremental state: workers key their synced catalogs on it, and a
 // version reset would mask a rewrite they still need to pick up. Sources
@@ -334,7 +328,7 @@ func (c *Coordinator) resyncCustody(stamp string) {
 }
 
 // sourceKey is the stamped shipped-source identity: the same shape workers
-// key their synced registrations by in partitioned mode.
+// key their synced registrations by.
 func sourceKey(si cleandb.SourceInfo, stamp string) string {
 	return si.Path + "#" + fmt.Sprintf("g%d.e%d", si.BaseGen, si.DeltaEpoch) + "|" + stamp
 }
@@ -419,23 +413,17 @@ func (c *Coordinator) StartSession(ctx context.Context, query string, params map
 	for _, w := range live {
 		members = append(members, w.id)
 	}
-	custody := c.cfg.Custody == CustodyPartitioned
-	var stamp string
-	if custody {
-		c.mu.Lock()
-		cohort := c.cohort
-		c.mu.Unlock()
-		stamp = custodyStamp(c.cfg.Custody, cohort, members)
-		c.resyncCustody(stamp)
-	}
 	c.mu.Lock()
+	cohort := c.cohort
 	c.sessSeq++
 	id := fmt.Sprintf("s%06d", c.sessSeq)
 	c.mu.Unlock()
+	stamp := custodyStamp(cohort, members)
+	c.resyncCustody(stamp)
 
 	hub := newHubSession(ctx, id, members, c.cfg.ExchangeTimeout)
 	hub.onEvict = func(member string) { c.noteEviction(id, member) }
-	sess := &Session{c: c, id: id, hub: hub, ex: newLocalExchange(hub, ctx, custody)}
+	sess := &Session{c: c, id: id, hub: hub, ex: newLocalExchange(hub, ctx)}
 	c.mu.Lock()
 	c.sessions[id] = sess
 	c.mu.Unlock()
@@ -448,7 +436,6 @@ func (c *Coordinator) StartSession(ctx context.Context, query string, params map
 		Query:        query,
 		Params:       params,
 		Sources:      c.shippableSources(),
-		Custody:      c.cfg.Custody,
 		CustodyStamp: stamp,
 	}
 	for _, w := range live {
@@ -658,8 +645,8 @@ type WorkerStatus struct {
 	Partitions int `json:"partitions"`
 	// OwnedPartitions and LoadedBytes are the worker's last-reported loaded
 	// custody share: how many chunks it actually parsed and the input bytes
-	// behind them. Under partitioned custody they trend to 1/N of the
-	// catalog; under replicated custody they equal the totals.
+	// behind them. For sources with per-chunk scan planning they trend to
+	// 1/N of the catalog; XML and in-memory sources count in full.
 	OwnedPartitions int64 `json:"owned_partitions"`
 	LoadedBytes     int64 `json:"loaded_bytes"`
 }
@@ -667,8 +654,6 @@ type WorkerStatus struct {
 // ClusterStatus is the coordinator's /healthz cluster report.
 type ClusterStatus struct {
 	Role string `json:"role"`
-	// Custody is the configured custody mode sessions run under.
-	Custody string `json:"custody"`
 	// Members is the membership the next session would use.
 	Members []string `json:"members"`
 	// CoordinatorPartitions counts the loaded partitions in the
@@ -706,7 +691,6 @@ func (c *Coordinator) Status() ClusterStatus {
 	c.mu.Lock()
 	st := ClusterStatus{
 		Role:                       "coordinator",
-		Custody:                    c.cfg.Custody,
 		Members:                    members,
 		CoordinatorPartitions:      counts[coordID],
 		CoordinatorOwnedPartitions: coordOwned,

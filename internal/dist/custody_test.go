@@ -1,64 +1,98 @@
 package dist
 
-// Partition-custody scan suite: under -custody=partitioned each member parses
-// only the source chunks placement assigns to it and gathers the rest through
-// the barrier exchange, so the cluster's aggregate parse work stays ~constant
-// while per-node work drops to ~1/members — without giving up bit-identity
-// with the replicated mode or the single process, including across mid-scan
-// worker death and client disconnect.
+// Partition-custody scan suite: each member parses only the source chunks
+// placement assigns to it and gathers the rest through the barrier exchange,
+// so the cluster's aggregate parse work stays ~constant while per-node work
+// drops to ~1/members — without giving up bit-identity with the single
+// process, including across mid-scan worker death and client disconnect.
 
 import (
 	"context"
+	"encoding/xml"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cleandb"
+	"cleandb/internal/datagen"
 )
 
-// TestClusterReplicatedEquivalence pins the -custody=replicated fallback: the
-// full query matrix still matches single-process execution, and every member
-// loads every byte (owned == total in each member's catalog report).
-func TestClusterReplicatedEquivalence(t *testing.T) {
+// writeCustomerXML renders the equivalence customers as a two-level XML
+// file: a source with no per-chunk scan plan, which every member loads whole.
+func writeCustomerXML(tb testing.TB) string {
+	tb.Helper()
+	var sb strings.Builder
+	sb.WriteString("<customers>\n")
+	for _, r := range datagen.GenCustomer(datagen.CustomerConfig{Rows: 60, Seed: 7}).Rows {
+		rec := r.Record()
+		sb.WriteString("<customer>")
+		for i, name := range rec.Schema.Names {
+			fmt.Fprintf(&sb, "<%s>", name)
+			if err := xml.EscapeText(&sb, []byte(rec.Fields[i].String())); err != nil {
+				tb.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "</%s>", name)
+		}
+		sb.WriteString("</customer>\n")
+	}
+	sb.WriteString("</customers>\n")
+	path := filepath.Join(tb.TempDir(), "customer.xml")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// TestClusterWholeSourceScan pins the whole-source scan arm in a cluster: an
+// XML source has no PlanScan, so every member parses all of it while the CSV
+// sources beside it still divide. The full query matrix must match a single
+// process, and every member must own the whole XML source.
+func TestClusterWholeSourceScan(t *testing.T) {
 	paths := writeEquivSources(t, 150)
+	paths["customer"] = writeCustomerXML(t)
 	opts := []cleandb.Option{cleandb.WithWorkers(4)}
-	c := newTestClusterCustody(t, 3, paths, CustodyReplicated, opts...)
+	c := newTestCluster(t, 3, paths, opts...)
 	single := cleandb.Open(opts...)
 	for name, p := range paths {
 		if err := single.RegisterFile(name, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var lastFrags []FragmentResult
 	for _, q := range clusterQueries {
-		lastFrags = checkClusterEquiv(t, c, single, "replicated/"+q.name, q.query, q.repairs)
+		checkClusterEquiv(t, c, single, "xml/"+q.name, q.query, q.repairs)
 	}
-	var total int64
-	for _, si := range c.db.SourceInfos() {
-		if !si.Loaded {
-			continue
+	dbs := map[string]*cleandb.DB{coordID: c.db}
+	for _, w := range c.workers {
+		dbs[w.id] = w.wk.db
+	}
+	for member, db := range dbs {
+		si, err := db.SourceInfo("customer")
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += si.Bytes
+		if si.Format != "xml" || !si.Loaded || si.Bytes == 0 {
+			t.Fatalf("%s: customer format=%s loaded=%v bytes=%d", member, si.Format, si.Loaded, si.Bytes)
+		}
 		if si.OwnedPartitions != si.Partitions || si.OwnedBytes != si.Bytes {
-			t.Fatalf("replicated coordinator owns %d/%d partitions, %d/%d bytes of %s",
-				si.OwnedPartitions, si.Partitions, si.OwnedBytes, si.Bytes, si.Name)
+			t.Fatalf("%s owns %d/%d partitions, %d/%d bytes of the XML source",
+				member, si.OwnedPartitions, si.Partitions, si.OwnedBytes, si.Bytes)
+		}
+		li, err := db.SourceInfo("lineitem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if li.OwnedBytes <= 0 || li.OwnedBytes >= li.Bytes {
+			t.Fatalf("%s owns %d of %d lineitem CSV bytes — not a strict share", member, li.OwnedBytes, li.Bytes)
 		}
 	}
-	if total == 0 {
-		t.Fatal("no sources loaded")
-	}
-	// By the end of the matrix every worker has loaded the whole catalog too.
-	for _, f := range lastFrags {
-		if f.OwnedBytes != total {
-			t.Fatalf("replicated worker %s owns %d bytes, coordinator catalog holds %d",
-				f.Worker, f.OwnedBytes, total)
-		}
-	}
-	if st := c.coord.Status(); st.Custody != CustodyReplicated || st.CustodyRescans != 0 {
-		t.Fatalf("status custody=%q rescans=%d, want replicated/0", st.Custody, st.CustodyRescans)
+	if st := c.coord.Status(); st.CustodyRescans != 0 {
+		t.Fatalf("status rescans=%d, want 0", st.CustodyRescans)
 	}
 }
 
@@ -120,9 +154,6 @@ func TestPartitionedScanDividesBytes(t *testing.T) {
 
 	// The /healthz report mirrors the same custody numbers.
 	st := c.coord.Status()
-	if st.Custody != CustodyPartitioned {
-		t.Fatalf("status custody = %q", st.Custody)
-	}
 	if st.CoordinatorLoadedBytes != coordBytes || st.CoordinatorOwnedPartitions != coordParts {
 		t.Fatalf("status coordinator owns %d parts/%d bytes, catalog says %d/%d",
 			st.CoordinatorOwnedPartitions, st.CoordinatorLoadedBytes, coordParts, coordBytes)

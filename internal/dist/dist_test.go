@@ -12,12 +12,14 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,15 +116,8 @@ type testCluster struct {
 
 // newTestCluster builds an in-process loopback cluster: a coordinator DB over
 // the file sources, n workers with empty catalogs (sources arrive shipped by
-// path, as in production), everything over httptest loopback HTTP. Custody
-// defaults to partitioned, as in production; newTestClusterCustody pins a
-// mode explicitly.
+// path, as in production), everything over httptest loopback HTTP.
 func newTestCluster(tb testing.TB, n int, paths map[string]string, opts ...cleandb.Option) *testCluster {
-	tb.Helper()
-	return newTestClusterCustody(tb, n, paths, "", opts...)
-}
-
-func newTestClusterCustody(tb testing.TB, n int, paths map[string]string, custody string, opts ...cleandb.Option) *testCluster {
 	tb.Helper()
 	db := cleandb.Open(opts...)
 	for name, p := range paths {
@@ -135,7 +130,6 @@ func newTestClusterCustody(tb testing.TB, n int, paths map[string]string, custod
 		ExchangeTimeout: 5 * time.Second,
 		ProbeInterval:   time.Second,
 		FragmentGrace:   5 * time.Second,
-		Custody:         custody,
 	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/register", c.coord.HandleRegister)
@@ -371,6 +365,30 @@ func TestClusterWorkerKillMidQuery(t *testing.T) {
 	}
 	if !sawVictim {
 		t.Fatalf("no fragment result for victim %s: %+v", victim.id, frags)
+	}
+}
+
+// TestFragmentRequiresCustodyStamp pins the fragment handler's validation: a
+// request without a custody stamp is incomplete, because the stamp is part of
+// every shipped-source key and decides when a member's warm load re-divides.
+func TestFragmentRequiresCustodyStamp(t *testing.T) {
+	wk := NewWorker(cleandb.Open(cleandb.WithWorkers(2)))
+	body, err := json.Marshal(&fragmentRequest{
+		Session:     "s000001",
+		Self:        "w0001",
+		Members:     []string{coordID, "w0001"},
+		ExchangeURL: "http://127.0.0.1:1/v1/cluster/exchange",
+		Fingerprint: wk.Fingerprint(),
+		Query:       `SELECT c.name AS n FROM customer c`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	wk.HandleFragment(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/fragment", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "incomplete fragment request") {
+		t.Fatalf("stamp-less fragment: status %d, body %q; want 400 incomplete fragment request",
+			rec.Code, rec.Body.String())
 	}
 }
 

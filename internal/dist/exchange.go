@@ -74,10 +74,9 @@ func decodeFull(stage string, frames [][]byte, local map[int][]types.Value, dict
 
 // localExchange is the coordinator's seat at the barrier of one session.
 type localExchange struct {
-	s       *hubSession
-	ctx     context.Context // the coordinator's own query context
-	dict    *data.Dict
-	custody bool // partitioned custody: scans divide like join slots
+	s    *hubSession
+	ctx  context.Context // the coordinator's own query context
+	dict *data.Dict
 	// execSlots counts the masked join slots this node actually executed —
 	// placement share plus reassigned extras. It is the real (not simulated)
 	// measure of how the join work divided across the cluster. Custody scan
@@ -88,15 +87,13 @@ type localExchange struct {
 	custodyRescans atomic.Int64
 }
 
-func newLocalExchange(s *hubSession, ctx context.Context, custody bool) *localExchange {
-	return &localExchange{s: s, ctx: ctx, dict: data.NewDict(), custody: custody}
+func newLocalExchange(s *hubSession, ctx context.Context) *localExchange {
+	return &localExchange{s: s, ctx: ctx, dict: data.NewDict()}
 }
 
 func (x *localExchange) Mask(stage string, n int) []int {
 	return stageSlots(stage, n, x.s.members[0], x.s.members)
 }
-
-func (x *localExchange) PartitionCustody() bool { return x.custody }
 
 func (x *localExchange) Gather(stage string, n int, local map[int][]types.Value) ([][]types.Value, []int, error) {
 	_, scan := scanSource(stage)
@@ -128,7 +125,6 @@ type remoteExchange struct {
 	members []string
 	ctx     context.Context // the fragment request's context
 	dict    *data.Dict
-	custody bool // partitioned custody: scans divide like join slots
 	// execSlots mirrors localExchange's counter for this worker's share.
 	execSlots atomic.Int64
 	// custodyRescans mirrors localExchange's adopted-chunk counter.
@@ -138,8 +134,6 @@ type remoteExchange struct {
 func (x *remoteExchange) Mask(stage string, n int) []int {
 	return stageSlots(stage, n, x.self, x.members)
 }
-
-func (x *remoteExchange) PartitionCustody() bool { return x.custody }
 
 func (x *remoteExchange) Gather(stage string, n int, local map[int][]types.Value) ([][]types.Value, []int, error) {
 	_, scan := scanSource(stage)

@@ -14,13 +14,13 @@
 // rows, repairs and cost metrics — having personally executed only its share
 // of the join work.
 //
-// Under partition custody (the default -custody=partitioned) the same
-// masking divides the scans: a cold source load becomes a pair of masked
-// stages ("scanvote/<source>", "scan/<source>") whose slots are the source's
-// chunks, keyed by PartitionOwner — so each member parses only the chunks it
-// has catalog custody of and gathers the rest through the barrier, ending
-// with the identical full partition vector. -custody=replicated restores the
-// fully replicated loads.
+// Partition custody applies the same masking to the scans: a cold source
+// load becomes a pair of masked stages ("scanvote/<source>", "scan/<source>")
+// whose slots are the source's chunks, keyed by PartitionOwner — so each
+// member parses only the chunks it has catalog custody of and gathers the
+// rest through the barrier, ending with the identical full partition vector.
+// Sources without per-chunk scan planning (XML, in-memory) load whole on
+// every member.
 //
 // Placement is rendezvous (highest-random-weight) hashing: a pure function of
 // (key, membership), so every node computes the same assignment without
@@ -117,11 +117,10 @@ func stageSlots(stage string, n int, self string, members []string) []int {
 
 // PartitionOwner returns the member with custody of one source partition —
 // the consistent catalog assignment keyed by source name + partition index.
-// Under partitioned custody it masks the scan stages: the owner is the one
-// member that parses the chunk from disk. Under replicated custody it is
-// advisory (every node holds every partition); either way it drives the
-// placement report on the coordinator's /healthz and re-plans automatically
-// when the live membership changes.
+// It masks the scan stages: the owner is the one member that parses the
+// chunk from disk (for sources that load whole on every member it is
+// advisory). It also drives the placement report on the coordinator's
+// /healthz and re-plans automatically when the live membership changes.
 func PartitionOwner(source string, part int, members []string) string {
 	return owner("part/"+source+"/"+strconv.Itoa(part), members)
 }

@@ -38,8 +38,7 @@ type sourceSpec struct {
 	// entry (base generation + delta epoch). A worker that already holds the
 	// path re-registers when it changes, so a file grown or rewritten since
 	// the last fragment is re-scanned instead of served from the stale load —
-	// a replicated catalog is only consistent if every member reads the same
-	// epoch.
+	// members agree on the catalog only if every member reads the same epoch.
 	Version string `json:"version,omitempty"`
 }
 
@@ -59,15 +58,13 @@ type fragmentRequest struct {
 	// TimeoutMs bounds the fragment wall clock when positive.
 	TimeoutMs int64        `json:"timeout_ms,omitempty"`
 	Sources   []sourceSpec `json:"sources"`
-	// Custody is the session's custody mode ("partitioned" or "replicated");
-	// empty means replicated, which is the pre-custody wire behavior.
-	Custody string `json:"custody,omitempty"`
-	// CustodyStamp fingerprints the custody division (mode + registration
-	// cohort + membership). Workers fold it into their shipped-source keys in
-	// partitioned mode, so a stamp change re-registers the source and the next
-	// scan re-divides under the current membership on every member at once —
-	// cold and warm members never disagree about whether a scan stage runs.
-	CustodyStamp string `json:"custody_stamp,omitempty"`
+	// CustodyStamp fingerprints the custody division (registration cohort +
+	// membership); a fragment without one is rejected. Workers fold it into
+	// their shipped-source keys, so a stamp change re-registers the source
+	// and the next scan re-divides under the current membership on every
+	// member at once — cold and warm members never disagree about whether a
+	// scan stage runs.
+	CustodyStamp string `json:"custody_stamp"`
 }
 
 // fragmentResponse reports the fragment outcome. Under SPMD the worker's
@@ -90,8 +87,9 @@ type fragmentResponse struct {
 	ExecSlots int64 `json:"exec_slots"`
 	// CustodyRescans counts scan chunks this worker adopted from a dead peer
 	// and re-parsed during the fragment. OwnedPartitions and OwnedBytes are
-	// the worker's loaded custody share across the catalog — equal to the
-	// totals under replicated custody, roughly 1/N of them under partitioned.
+	// the worker's loaded custody share across the catalog: roughly 1/N of
+	// the totals for sources with per-chunk scan planning, the whole source
+	// for XML and in-memory ones.
 	CustodyRescans  int64 `json:"custody_rescans,omitempty"`
 	OwnedPartitions int64 `json:"owned_partitions,omitempty"`
 	OwnedBytes      int64 `json:"owned_bytes,omitempty"`

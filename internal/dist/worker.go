@@ -15,8 +15,8 @@ import (
 
 // Worker executes query fragments against its own DB. Under the SPMD model a
 // fragment is the whole query: the worker runs the full pipeline over the
-// replicated catalog and contributes its placement-assigned slots at every
-// masked stage through the coordinator's exchange.
+// same catalog as every other member and contributes its placement-assigned
+// slots at every masked stage through the coordinator's exchange.
 type Worker struct {
 	db          *cleandb.DB
 	fingerprint string
@@ -58,16 +58,12 @@ func (wk *Worker) HandleFragment(w http.ResponseWriter, r *http.Request) {
 			req.Fingerprint, wk.fingerprint), http.StatusConflict)
 		return
 	}
-	if req.Session == "" || req.Self == "" || len(req.Members) < 2 || req.ExchangeURL == "" {
+	if req.Session == "" || req.Self == "" || len(req.Members) < 2 || req.ExchangeURL == "" ||
+		req.CustodyStamp == "" {
 		http.Error(w, "dist: incomplete fragment request", http.StatusBadRequest)
 		return
 	}
-	custody := req.Custody == CustodyPartitioned
-	stamp := ""
-	if custody {
-		stamp = req.CustodyStamp
-	}
-	if err := wk.syncSources(req.Sources, stamp); err != nil {
+	if err := wk.syncSources(req.Sources, req.CustodyStamp); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -86,7 +82,6 @@ func (wk *Worker) HandleFragment(w http.ResponseWriter, r *http.Request) {
 		members: req.Members,
 		ctx:     ctx,
 		dict:    data.NewDict(),
-		custody: custody,
 	}
 
 	var resp fragmentResponse
@@ -123,16 +118,16 @@ func (wk *Worker) HandleFragment(w http.ResponseWriter, r *http.Request) {
 // worker already registered itself under the same name are left alone only
 // when they came from the same path at the same version; a conflicting local
 // registration is replaced, since the coordinator's catalog is authoritative
-// for cluster queries. The version in the key is what keeps a replicated
-// catalog fresh across appends: when the coordinator's delta epoch moves, the
+// for cluster queries. The version in the key is what keeps the catalog
+// fresh across appends: when the coordinator's delta epoch moves, the
 // re-registration here drops the worker's stale load and the next scan reads
 // the grown file.
 //
-// In partitioned custody mode the key also carries the session's custody
-// stamp, so a membership or cohort change drops the previous division's warm
-// load and the next scan re-divides — on this worker at the same moment the
-// coordinator's own resync does it, keeping every member's cold/warm state in
-// lockstep. Replicated mode passes an empty stamp and keeps the plain key.
+// The key also carries the session's custody stamp (Path#Version|stamp, the
+// shape of the coordinator's sourceKey), so a membership or cohort change
+// drops the previous division's warm load and the next scan re-divides — on
+// this worker at the same moment the coordinator's own resync does it,
+// keeping every member's cold/warm state in lockstep.
 func (wk *Worker) syncSources(specs []sourceSpec, stamp string) error {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
@@ -140,10 +135,7 @@ func (wk *Worker) syncSources(specs []sourceSpec, stamp string) error {
 		if s.Path == "" {
 			continue
 		}
-		key := s.Path + "#" + s.Version
-		if stamp != "" {
-			key += "|" + stamp
-		}
+		key := s.Path + "#" + s.Version + "|" + stamp
 		if wk.shipped[s.Name] == key {
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 
 	"cleandb/internal/data"
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -108,7 +109,7 @@ func (s *Colbin) WriteBatch(ctx context.Context, b *data.ColumnBatch) error {
 	strs := b.Strings()
 	colTypes := make([]data.ColType, len(names))
 	chunks := make([][]byte, len(names))
-	err := runParallel(ctx, len(names), runtime.GOMAXPROCS(0), func(c int) error {
+	err := par.Run(ctx, len(names), runtime.GOMAXPROCS(0), func(c int) error {
 		col := &b.Cols[c]
 		colTypes[c] = data.ColTypeForColumn(col, strs)
 		buf, err := data.EncodeColumnVec(col, strs, colTypes[c])
@@ -165,7 +166,7 @@ func (s *Colbin) encode(ctx context.Context) error {
 	// independent buffer; cancellation aborts between columns.
 	colTypes := make([]data.ColType, len(names))
 	chunks := make([][]byte, len(names))
-	err = runParallel(ctx, len(names), runtime.GOMAXPROCS(0), func(c int) error {
+	err = par.Run(ctx, len(names), runtime.GOMAXPROCS(0), func(c int) error {
 		colTypes[c] = data.ColbinTypeOf(rows, c)
 		buf, err := data.EncodeColbinColumn(rows, c, colTypes[c])
 		if err != nil {

@@ -99,7 +99,7 @@ func Pump(ctx context.Context, s Sink, parts [][]types.Value, workers int) (int6
 		return 0, err
 	}
 	var rows atomic.Int64
-	err := runParallel(ctx, len(parts), workers, func(i int) error {
+	err := par.Run(ctx, len(parts), workers, func(i int) error {
 		if err := s.WritePartition(i, parts[i]); err != nil {
 			return err
 		}
@@ -198,13 +198,6 @@ func schemaOf(parts [][]types.Value) []string {
 		return nil
 	}
 	return nil
-}
-
-// runParallel is the shared bounded-worker driver (par.Run): first error or
-// cancellation wins, every started goroutine exits before return, width is
-// capped at GOMAXPROCS.
-func runParallel(ctx context.Context, n, width int, f func(i int) error) error {
-	return par.Run(ctx, n, width, f)
 }
 
 // stitcher serializes concurrently encoded partition buffers onto one writer

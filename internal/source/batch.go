@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"cleandb/internal/data"
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -63,7 +64,7 @@ func RowsToBatches(ctx context.Context, parts [][]types.Value, width int) ([]*da
 	shared := data.NewDict()
 	batches := make([]*data.ColumnBatch, len(parts))
 	var failed atomic.Bool
-	err := runParallel(ctx, len(parts), width, func(i int) error {
+	err := par.Run(ctx, len(parts), width, func(i int) error {
 		b := data.BatchFromRows(parts[i], data.NewDict())
 		if b == nil {
 			failed.Store(true)
@@ -101,7 +102,7 @@ func (s *Colbin) ScanBatches(ctx context.Context, parts int) ([]*data.ColumnBatc
 	}
 	ncols := len(info.Names)
 	cols := make([]data.Column, ncols)
-	err = runParallel(ctx, ncols, parts, func(c int) error {
+	err = par.Run(ctx, ncols, parts, func(c int) error {
 		col, err := info.DecodeColumnVec(c, dict)
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"cleandb/internal/data"
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -81,7 +82,7 @@ func (s *Colbin) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
 	}
 	ncols := len(info.Names)
 	cols := make([][]types.Value, ncols)
-	err = runParallel(ctx, ncols, parts, func(c int) error {
+	err = par.Run(ctx, ncols, parts, func(c int) error {
 		vals, err := info.DecodeColumn(c)
 		if err != nil {
 			return err
@@ -97,7 +98,7 @@ func (s *Colbin) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
 	per := (info.Rows + parts - 1) / parts
 	nparts := (info.Rows + per - 1) / per
 	out := make([][]types.Value, nparts)
-	err = runParallel(ctx, nparts, parts, func(p int) error {
+	err = par.Run(ctx, nparts, parts, func(p int) error {
 		lo := p * per
 		hi := lo + per
 		if hi > info.Rows {

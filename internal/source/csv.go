@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"cleandb/internal/data"
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -121,7 +122,7 @@ func scanCSV(ctx context.Context, buf []byte, parts int) ([][]types.Value, *csvS
 	// rebased from chunk-relative to absolute file line numbers, matching
 	// what the sequential reader reports for the same input.
 	raw := make([][][]string, len(chunks))
-	err = runParallel(ctx, len(chunks), parts, func(i int) error {
+	err = par.Run(ctx, len(chunks), parts, func(i int) error {
 		rows, err := parseCSVChunk(chunks[i], headerLines+baseLines[i])
 		if err != nil {
 			return err
@@ -141,7 +142,7 @@ func scanCSV(ctx context.Context, buf []byte, parts int) ([][]types.Value, *csvS
 	// chunk as one ordered partition.
 	schema := types.NewSchema(header...)
 	out := make([][]types.Value, len(chunks))
-	err = runParallel(ctx, len(chunks), parts, func(i int) error {
+	err = par.Run(ctx, len(chunks), parts, func(i int) error {
 		rows := raw[i]
 		vals := make([]types.Value, len(rows))
 		for j, row := range rows {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"cleandb/internal/data"
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -45,8 +46,8 @@ type ScanPlan interface {
 }
 
 // PartitionedScanner is implemented by sources whose Scan can be divided by
-// partition custody. Sources without it are scanned replicated — every member
-// parses the whole input — which stays deterministic, just not divided.
+// partition custody. Sources without it are scanned whole on every member,
+// which stays deterministic, just not divided.
 type PartitionedScanner interface {
 	Source
 	PlanScan(ctx context.Context, parts int) (ScanPlan, error)
@@ -358,7 +359,7 @@ func (p *colbinPlan) decode(ctx context.Context) error {
 		}
 		ncols := len(info.Names)
 		cols := make([][]types.Value, ncols)
-		p.err = runParallel(ctx, ncols, p.nparts, func(c int) error {
+		p.err = par.Run(ctx, ncols, p.nparts, func(c int) error {
 			vals, err := info.DecodeColumn(c)
 			if err != nil {
 				return err

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cleandb/internal/data"
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -63,7 +64,7 @@ func (s *JSON) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
 	chunks, firstLines := splitLines(buf, parts)
 	cache := data.NewSchemaCache()
 	out := make([][]types.Value, len(chunks))
-	err = runParallel(ctx, len(chunks), parts, func(i int) error {
+	err = par.Run(ctx, len(chunks), parts, func(i int) error {
 		rows, err := data.ReadJSONChunk(chunks[i], firstLines[i], cache)
 		if err != nil {
 			return err

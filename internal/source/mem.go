@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -52,5 +53,5 @@ func (s *Mem) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return partition(s.rows, parts), nil
+	return par.Chunks(s.rows, parts), nil
 }

@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -143,18 +142,4 @@ func (b bytesAt) sizeBytes() int64 {
 		return fi.Size()
 	}
 	return int64(len(b.buf))
-}
-
-// partition slices vs into at most n contiguous chunks without copying
-// (par.Chunks), mirroring the engine's default partitioner so a sequentially
-// parsed source lands exactly like pre-partitioned data.
-func partition(vs []types.Value, n int) [][]types.Value {
-	return par.Chunks(vs, n)
-}
-
-// runParallel is the shared bounded-worker driver (par.Run): first error or
-// cancellation wins, every started goroutine exits before return, width is
-// capped at GOMAXPROCS.
-func runParallel(ctx context.Context, n, width int, f func(i int) error) error {
-	return par.Run(ctx, n, width, f)
 }

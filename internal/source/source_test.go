@@ -356,23 +356,6 @@ func TestScanCancelled(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	vs := make([]types.Value, 10)
-	for i := range vs {
-		vs[i] = types.Int(int64(i))
-	}
-	for _, tc := range []struct{ n, wantParts int }{{1, 1}, {3, 3}, {4, 4}, {10, 10}, {50, 10}, {0, 1}} {
-		parts := partition(vs, tc.n)
-		if len(parts) != tc.wantParts {
-			t.Fatalf("partition(10, %d) = %d parts, want %d", tc.n, len(parts), tc.wantParts)
-		}
-		wantSameRows(t, flatten(parts), vs)
-	}
-	if got := partition(nil, 4); got != nil {
-		t.Fatalf("partition(nil) = %v", got)
-	}
-}
-
 // TestCSVScanErrorKeepsAbsoluteLineNumber mirrors the JSON test: a parse
 // error inside a later chunk must report the same file-absolute line number
 // the sequential reader reports.

@@ -5,6 +5,7 @@ import (
 	"context"
 
 	"cleandb/internal/data"
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -51,5 +52,5 @@ func (s *XML) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return partition(rows, parts), nil
+	return par.Chunks(rows, parts), nil
 }
