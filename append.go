@@ -72,12 +72,12 @@ func (db *DB) entry(name string) (*sourceEntry, error) {
 	return e, nil
 }
 
-// append lands rows as one additional partition of the loaded dataset and
-// bumps the delta epoch. payloadBytes counts the encoded payload for the
-// byte hints (0 for programmatic row appends). The entry's loadMu
-// serializes appends with loads and refreshes; snapshots taken by running
-// queries keep their pre-append dataset (Extend never mutates).
-func (e *sourceEntry) append(rows []types.Value, payloadBytes int64, shippable bool) error {
+// append lands memory-only rows as one additional partition of the loaded
+// dataset. payloadBytes counts the encoded payload for the byte hints (0 for
+// programmatic row appends). The entry's loadMu serializes appends with
+// loads and refreshes; snapshots taken by running queries keep their
+// pre-append dataset (Extend never mutates).
+func (e *sourceEntry) append(rows []types.Value, payloadBytes int64) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -91,15 +91,26 @@ func (e *sourceEntry) append(rows []types.Value, payloadBytes int64, shippable b
 	if e.err != nil {
 		return e.err
 	}
+	e.extend(rows, payloadBytes)
+	e.memRows += int64(len(rows))
+	return nil
+}
+
+// extend lands rows as one additional partition and bumps the delta epoch.
+// The caller holds e.mu and has checked the entry is loaded.
+func (e *sourceEntry) extend(rows []types.Value, payloadBytes int64) {
 	e.ds = e.ds.Extend(rows)
 	e.deltaEpoch++
 	e.appends++
 	e.appendRows += int64(len(rows))
 	e.appendBytes += payloadBytes
-	if !shippable {
-		e.memRows += int64(len(rows))
-	}
-	return nil
+}
+
+// fold makes the current file content the new base: the base generation
+// moves and the append counters restart. The caller holds e.mu.
+func (e *sourceEntry) fold() {
+	e.baseGen++
+	e.appends, e.appendRows, e.appendBytes, e.memRows = 0, 0, 0, 0
 }
 
 // Append appends programmatic rows to a registered source, loading it first
@@ -123,7 +134,7 @@ func (db *DB) AppendContext(ctx context.Context, name string, rows []Value) erro
 	if len(rows) == 0 {
 		return nil
 	}
-	if err := e.append(rows, 0, false); err != nil {
+	if err := e.append(rows, 0); err != nil {
 		return err
 	}
 	db.noteLoad()
@@ -177,7 +188,7 @@ func (db *DB) appendPayload(ctx context.Context, name string, payload []byte, en
 	if len(rows) == 0 {
 		return nil
 	}
-	if err := e.append(rows, int64(len(payload)), false); err != nil {
+	if err := e.append(rows, int64(len(payload))); err != nil {
 		return err
 	}
 	db.noteLoad()
@@ -230,7 +241,8 @@ func (db *DB) Refresh(ctx context.Context, name string) (int, error) {
 // be reconstructed by a re-scan, so an entry holding any refuses; a
 // file-backed appended tail folds into the re-scanned base, which moves the
 // base generation exactly like a reset re-scan. Unloading a pending or failed
-// entry is a no-op.
+// entry is a no-op: a failure stays remembered until the source is
+// re-registered.
 func (db *DB) Unload(name string) error {
 	e, err := db.entry(name)
 	if err != nil {
@@ -239,22 +251,19 @@ func (db *DB) Unload(name string) error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	e.mu.Lock()
+	if !e.loaded || e.err != nil {
+		e.mu.Unlock()
+		return nil
+	}
 	if e.memRows > 0 {
 		n := e.memRows
 		e.mu.Unlock()
 		return fmt.Errorf("cleandb: unload source %q: %d memory-only appended rows would be lost", name, n)
 	}
-	if !e.loaded {
-		e.mu.Unlock()
-		return nil
+	if e.appends > 0 {
+		e.fold()
 	}
-	folds := e.appends > 0
-	if folds {
-		e.baseGen++
-		e.appends, e.appendRows, e.appendBytes = 0, 0, 0
-	}
-	e.loaded, e.ds, e.err = false, nil, nil
-	e.custody = nil
+	e.loaded, e.ds, e.custody = false, nil, nil
 	e.mu.Unlock()
 	// Always move the stats epoch, not just when appends folded: a cached
 	// plan pins the unloaded dataset by reference, so without a new epoch
@@ -281,14 +290,13 @@ func (e *sourceEntry) refresh(goctx context.Context, ectx *engine.Context) (adde
 	}
 	if reset {
 		//lint:ignore locksnapshot same latch: a reset re-scan is the full load path and must not race another loader
-		ds, err := e.scan(goctx, ectx)
+		ds, custody, err := e.scan(goctx, ectx)
 		if err != nil {
 			return 0, false, err
 		}
 		e.mu.Lock()
-		e.loaded, e.ds, e.err = true, ds, nil
-		e.baseGen++
-		e.appends, e.appendRows, e.appendBytes, e.memRows = 0, 0, 0, 0
+		e.loaded, e.ds, e.err, e.custody = true, ds, nil, custody
+		e.fold()
 		e.mu.Unlock()
 		return int(ds.Count()), true, nil
 	}
@@ -300,10 +308,7 @@ func (e *sourceEntry) refresh(goctx context.Context, ectx *engine.Context) (adde
 	if !e.loaded || e.err != nil {
 		return 0, false, fmt.Errorf("refresh before load")
 	}
-	e.ds = e.ds.Extend(rows)
-	e.deltaEpoch++
-	e.appends++
-	e.appendRows += int64(len(rows))
+	e.extend(rows, 0)
 	return len(rows), true, nil
 }
 

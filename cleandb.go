@@ -271,9 +271,9 @@ type sourceEntry struct {
 	appendRows  int64
 	appendBytes int64
 	memRows     int64
-	// custody, when non-nil, records what this member parsed from disk under
-	// a partition-custody scan (custody.go); nil for whole-source loads,
-	// where owned equals total.
+	// custody, when non-nil, records what this member parsed from disk for
+	// the committed load under a partition-custody scan (custody.go); nil for
+	// whole-source loads, where owned equals total.
 	custody *custodyLoad
 }
 
@@ -289,7 +289,7 @@ func (e *sourceEntry) load(goctx context.Context, ectx *engine.Context) (*engine
 		return ds, err
 	}
 	//lint:ignore locksnapshot loadMu is the per-source single-flight latch: holding it across the first scan is the point
-	ds, err := e.scan(goctx, ectx)
+	ds, custody, err := e.scan(goctx, ectx)
 	if err != nil {
 		var transient *custodyScanError
 		if goctx.Err() == nil && !errors.As(err, &transient) {
@@ -300,7 +300,7 @@ func (e *sourceEntry) load(goctx context.Context, ectx *engine.Context) (*engine
 		return nil, err
 	}
 	e.mu.Lock()
-	e.loaded, e.ds = true, ds
+	e.loaded, e.ds, e.custody = true, ds, custody
 	e.mu.Unlock()
 	if e.onLoad != nil {
 		e.onLoad()
@@ -312,16 +312,17 @@ func (e *sourceEntry) load(goctx context.Context, ectx *engine.Context) (*engine
 // in parallel for text formats, with row boxing deferred to first row-level
 // use. Under a cluster session the parse itself is split across the members
 // by partition custody (custody.go); the result is the same full dataset
-// either way.
-func (e *sourceEntry) scan(goctx context.Context, ectx *engine.Context) (*engine.Dataset, error) {
-	if ds, ok, err := e.scanCustody(goctx, ectx); ok {
-		return ds, err
+// either way, and custody is this member's share (nil for a whole-source
+// scan). The caller records it when it commits the dataset.
+func (e *sourceEntry) scan(goctx context.Context, ectx *engine.Context) (ds *engine.Dataset, custody *custodyLoad, err error) {
+	if ds, custody, ok, err := e.custodyScan(goctx, ectx); ok {
+		return ds, custody, err
 	}
 	batches, rows, err := source.ScanIntoBatches(goctx, e.src, ectx.Workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return assembleDataset(ectx, batches, rows), nil
+	return assembleDataset(ectx, batches, rows), nil, nil
 }
 
 // assembleDataset wraps a scan's output: the batches, plus the row form when
@@ -455,11 +456,9 @@ func (db *DB) RegisterColbinFile(name, path string) {
 // of on first query. Loading an already-loaded source is a no-op returning
 // its remembered outcome.
 func (db *DB) Load(ctx context.Context, name string) error {
-	db.mu.RLock()
-	e, ok := db.catalog[name]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("cleandb: unknown source %q", name)
+	e, err := db.entry(name)
+	if err != nil {
+		return err
 	}
 	if _, err := e.load(ctx, db.ctx); err != nil {
 		return fmt.Errorf("cleandb: load source %q: %w", name, err)
@@ -603,55 +602,53 @@ type SourceInfo struct {
 // state without triggering a load — and, thanks to the entry's split lock,
 // without waiting behind one that is in flight.
 func (db *DB) SourceInfo(name string) (SourceInfo, error) {
-	db.mu.RLock()
-	e, ok := db.catalog[name]
-	db.mu.RUnlock()
-	if !ok {
-		return SourceInfo{}, fmt.Errorf("cleandb: unknown source %q", name)
+	e, err := db.entry(name)
+	if err != nil {
+		return SourceInfo{}, err
 	}
 	info := SourceInfo{Name: name, Format: e.src.Format(), Rows: -1, Bytes: -1,
 		Path: source.PathOf(e.src)}
 	if st, err := e.src.Stats(); err == nil {
 		info.Rows, info.Bytes = st.Rows, st.Bytes
 	}
-	// The version counters outlive the loaded data: an entry unloaded by a
-	// cluster custody resync is pending again, but its base generation must
-	// keep identifying the file's incremental state or workers keyed on the
-	// shipped version would hold stale loads.
+	// One read of the entry, so a concurrent append cannot pair the old
+	// dataset with the new counters. The version counters outlive the loaded
+	// data: an entry unloaded by a cluster custody resync is pending again,
+	// but its base generation must keep identifying the file's incremental
+	// state or workers keyed on the shipped version would hold stale loads.
 	e.mu.Lock()
+	ds, loaded, loadErr := e.ds, e.loaded, e.err
 	info.BaseGen, info.DeltaEpoch = e.baseGen, e.deltaEpoch
+	info.Appends, info.AppendedRows = e.appends, e.appendRows
+	info.MemRows = e.memRows
+	appendBytes, custody := e.appendBytes, e.custody
 	e.mu.Unlock()
-	if ds, loaded, err := e.peek(); loaded {
-		if err != nil {
-			info.Err = err
-		} else {
-			info.Loaded = true
-			// Recompute the row/byte hints from the loaded state rather than
-			// trusting the pre-scan hints: any path that replaced or extended
-			// the partitions (append, tail refresh, reset re-scan) makes the
-			// registration-time numbers stale. The dataset knows its exact row
-			// count; the byte count is the parsed high-water mark plus any
-			// inline payload bytes, falling back to the source's current size
-			// hint for formats without a tail mark.
-			info.Rows = ds.Count()
-			info.Partitions = ds.NumPartitions()
-			e.mu.Lock()
-			info.Appends, info.AppendedRows = e.appends, e.appendRows
-			info.MemRows = e.memRows
-			appendBytes := e.appendBytes
-			custody := e.custody
-			e.mu.Unlock()
-			if t, ok := source.TailerOf(e.src); ok {
-				info.Bytes = t.Consumed() + appendBytes
-			} else if info.Bytes >= 0 {
-				info.Bytes += appendBytes
-			}
-			if custody != nil {
-				info.OwnedPartitions, info.OwnedBytes = custody.parts, custody.bytes
-			} else {
-				info.OwnedPartitions, info.OwnedBytes = info.Partitions, info.Bytes
-			}
-		}
+	if !loaded {
+		return info, nil
+	}
+	if loadErr != nil {
+		info.Err = loadErr
+		return info, nil
+	}
+	info.Loaded = true
+	// Recompute the row/byte hints from the loaded state rather than
+	// trusting the pre-scan hints: any path that replaced or extended the
+	// partitions (append, tail refresh, reset re-scan) makes the
+	// registration-time numbers stale. The dataset knows its exact row count;
+	// the byte count is the parsed high-water mark plus any inline payload
+	// bytes, falling back to the source's current size hint for formats
+	// without a tail mark.
+	info.Rows = ds.Count()
+	info.Partitions = ds.NumPartitions()
+	if t, ok := source.TailerOf(e.src); ok {
+		info.Bytes = t.Consumed() + appendBytes
+	} else if info.Bytes >= 0 {
+		info.Bytes += appendBytes
+	}
+	if custody != nil {
+		info.OwnedPartitions, info.OwnedBytes = custody.parts, custody.bytes
+	} else {
+		info.OwnedPartitions, info.OwnedBytes = info.Partitions, info.Bytes
 	}
 	return info, nil
 }
@@ -672,11 +669,9 @@ func (db *DB) SourceInfos() []SourceInfo {
 // is still pending. The returned slice is a fresh copy of the slice header;
 // appending to it never corrupts the catalog.
 func (db *DB) Rows(name string) ([]Value, error) {
-	db.mu.RLock()
-	e, ok := db.catalog[name]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cleandb: unknown source %q", name)
+	e, err := db.entry(name)
+	if err != nil {
+		return nil, err
 	}
 	ds, err := e.load(context.Background(), db.ctx)
 	if err != nil {

@@ -2,10 +2,8 @@ package cleandb
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
-	"cleandb/internal/data"
 	"cleandb/internal/engine"
 	"cleandb/internal/par"
 	"cleandb/internal/source"
@@ -27,10 +25,11 @@ import (
 // installs the identical merged types before building rows.
 //
 // A member that dies mid-scan has its open chunks reassigned by the barrier;
-// the adopting member's Gather returns them as extra slots and the loops
-// below re-scan the adopted ranges (the plan re-parses raw bytes on demand).
-// The floor is the coordinator building every chunk itself — exactly the
-// single-process scan.
+// the adopting member's Gather returns them as extra slots and the runner
+// below re-builds the adopted chunks (the plan re-parses raw bytes on
+// demand). The floor is the coordinator building every chunk itself —
+// exactly the single-process scan, which runs the same plan through the
+// same driver (source.RunPlan) under the local runner.
 
 // custodyLoad records what this member actually parsed from disk for one
 // custody-masked load, for SourceInfo's owned-vs-total reporting and the
@@ -40,27 +39,50 @@ type custodyLoad struct {
 	bytes int64 // input bytes behind those chunks
 }
 
-// scanCustody runs the custody-masked scan when this load is eligible:
-// the entry is catalog-registered (named), the query carries a cluster
-// exchange, and the source can plan per-chunk builds. ok=false falls back to
-// the whole-source scan, which every member executes identically.
-func (e *sourceEntry) scanCustody(goctx context.Context, ectx *engine.Context) (*engine.Dataset, bool, error) {
+// custodyScan runs the custody-masked scan when this load is eligible: the
+// entry is catalog-registered (named), the query carries a cluster exchange,
+// and the source can plan per-chunk builds. It is the source's scan plan run
+// by custodyRunner, and it reports the member's share of the load.
+// ok=false falls back to the whole-source scan, which every member executes
+// identically.
+func (e *sourceEntry) custodyScan(goctx context.Context, ectx *engine.Context) (ds *engine.Dataset, load *custodyLoad, ok bool, err error) {
 	if e.name == "" {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	ex, ok := engine.ExchangeFrom(goctx)
 	if !ok {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	ps, ok := e.src.(source.PartitionedScanner)
 	if !ok {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
-	ds, err := e.custodyScan(goctx, ectx, ex, ps)
+	defer func() {
+		if err != nil {
+			err = &custodyScanError{err}
+		}
+	}()
+	plan, err := ps.PlanScan(goctx, ectx.Workers)
 	if err != nil {
-		err = &custodyScanError{err}
+		return nil, nil, true, err
 	}
-	return ds, true, err
+	built := make(map[int]bool)
+	full, err := source.RunPlan(goctx, plan, e.custodyRunner(goctx, ectx, ex, built))
+	if err != nil {
+		return nil, nil, true, err
+	}
+	load = &custodyLoad{parts: len(built)}
+	for i := range built {
+		load.bytes += plan.ChunkBytes(i)
+	}
+	// The gathered rows are identical on every member, and RowsToBatches is
+	// deterministic from rows, so the batches (and their dictionary
+	// statistics) are too.
+	batches, err := source.RowsToBatches(goctx, full, ectx.Workers)
+	if err != nil {
+		return nil, nil, true, err
+	}
+	return assembleDataset(ectx, batches, full), load, true, nil
 }
 
 // custodyScanError marks a failure on the custody-masked scan path. Whether
@@ -73,135 +95,42 @@ type custodyScanError struct{ err error }
 func (c *custodyScanError) Error() string { return c.err.Error() }
 func (c *custodyScanError) Unwrap() error { return c.err }
 
-func (e *sourceEntry) custodyScan(goctx context.Context, ectx *engine.Context, ex engine.Exchange, ps source.PartitionedScanner) (*engine.Dataset, error) {
-	plan, err := ps.PlanScan(goctx, ectx.Workers)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.Chunks()
-	built := make(map[int]bool)
-
-	if n > 0 && plan.NeedsVote() {
-		votes, err := e.gatherVotes(goctx, ectx, ex, plan, n, built)
-		if err != nil {
-			return nil, err
-		}
-		ts, voted := data.MergeColVotes(votes, len(votes[0]))
-		if err := plan.SetTypes(data.ColVotes(ts, voted)); err != nil {
-			return nil, err
-		}
-	}
-
-	var full [][]types.Value
-	if n > 0 {
-		if full, err = e.gatherChunks(goctx, ectx, ex, plan, n, built); err != nil {
-			return nil, err
-		}
-	}
-	if full, err = plan.Finish(full); err != nil {
-		return nil, err
-	}
-
-	load := &custodyLoad{parts: len(built)}
-	for i := range built {
-		load.bytes += plan.ChunkBytes(i)
-	}
-	e.mu.Lock()
-	e.custody = load
-	e.mu.Unlock()
-
-	// The gathered rows are identical on every member, and RowsToBatches is
-	// deterministic from rows, so the batches (and their dictionary
-	// statistics) are too.
-	batches, err := source.RowsToBatches(goctx, full, ectx.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return assembleDataset(ectx, batches, full), nil
-}
-
-// gatherVotes runs the type-vote round: vote owned chunks, exchange the vote
-// frames, loop on reassigned extras, and return the full per-chunk vote set.
-func (e *sourceEntry) gatherVotes(goctx context.Context, ectx *engine.Context, ex engine.Exchange, plan source.ScanPlan, n int, built map[int]bool) ([][]data.ColVote, error) {
-	stage := "scanvote/" + e.name
-	mine := ex.Mask(stage, n)
-	for {
-		local, err := buildLocal(goctx, ectx, mine, func(i int) ([]types.Value, error) {
-			v, err := plan.Vote(goctx, i)
+// custodyRunner runs one scan round ("scanvote/<name>" or "scan/<name>")
+// across the cluster: build the owned chunks, exchange them as row frames,
+// loop on chunks the barrier reassigns from a dead member (adoption
+// re-builds them), and return the complete vector in chunk order. built
+// collects every chunk this member built in either round.
+func (e *sourceEntry) custodyRunner(goctx context.Context, ectx *engine.Context, ex engine.Exchange, built map[int]bool) source.Runner {
+	return func(stage string, n int, do func(int) ([]types.Value, error)) ([][]types.Value, error) {
+		stage += "/" + e.name
+		mine := ex.Mask(stage, n)
+		for {
+			local := make(map[int][]types.Value, len(mine))
+			var mu sync.Mutex
+			err := par.Run(goctx, len(mine), ectx.Workers, func(k int) error {
+				rows, err := do(mine[k])
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				local[mine[k]] = rows
+				mu.Unlock()
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			return data.VoteRows(v), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range mine {
-			built[i] = true
-		}
-		full, extra, err := ex.Gather(stage, n, local)
-		if err != nil {
-			return nil, err
-		}
-		if len(extra) > 0 {
-			mine = extra
-			continue
-		}
-		votes := make([][]data.ColVote, n)
-		for i, rows := range full {
-			if votes[i], err = data.VotesOfRows(rows); err != nil {
-				return nil, fmt.Errorf("cleandb: source %q chunk %d: %w", e.name, i, err)
+			for _, i := range mine {
+				built[i] = true
 			}
-		}
-		return votes, nil
-	}
-}
-
-// gatherChunks runs the data round: build owned chunks, exchange them as row
-// frames, loop on reassigned extras (adoption re-scans), and return the
-// complete partition vector in chunk order.
-func (e *sourceEntry) gatherChunks(goctx context.Context, ectx *engine.Context, ex engine.Exchange, plan source.ScanPlan, n int, built map[int]bool) ([][]types.Value, error) {
-	stage := "scan/" + e.name
-	mine := ex.Mask(stage, n)
-	for {
-		local, err := buildLocal(goctx, ectx, mine, func(i int) ([]types.Value, error) {
-			return plan.Build(goctx, i)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range mine {
-			built[i] = true
-		}
-		full, extra, err := ex.Gather(stage, n, local)
-		if err != nil {
-			return nil, err
-		}
-		if len(extra) > 0 {
+			full, extra, err := ex.Gather(stage, n, local)
+			if err != nil {
+				return nil, err
+			}
+			if len(extra) == 0 {
+				return full, nil
+			}
 			mine = extra
-			continue
 		}
-		return full, nil
 	}
-}
-
-// buildLocal computes f over the owned chunk set on parallel goroutines,
-// keyed by chunk index for the exchange.
-func buildLocal(goctx context.Context, ectx *engine.Context, mine []int, f func(i int) ([]types.Value, error)) (map[int][]types.Value, error) {
-	local := make(map[int][]types.Value, len(mine))
-	var mu sync.Mutex
-	err := par.Run(goctx, len(mine), ectx.Workers, func(k int) error {
-		rows, err := f(mine[k])
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		local[mine[k]] = rows
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return local, nil
 }

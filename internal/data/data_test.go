@@ -504,4 +504,18 @@ func TestJSONSchemaKeyCollision(t *testing.T) {
 	if n := rows[1].Field("a").Int(); n != 3 {
 		t.Fatalf(`rows[1]["a"] = %d, want 3`, n)
 	}
+
+	// A NUL-joined key conflated {} with {""} and {"a\u0000b"} with
+	// {"a","b"}, and building the second record then panicked on arity.
+	in = `{"":0}` + "\n{}\n" + `{"a\u0000b":1}` + "\n" + `{"a":2,"b":3}` + "\n"
+	rows, err = ReadJSON(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rows[1].Record().Fields); n != 0 {
+		t.Fatalf("rows[1] has %d fields, want 0", n)
+	}
+	if n := rows[3].Field("b").Int(); n != 3 {
+		t.Fatalf(`rows[3]["b"] = %d, want 3`, n)
+	}
 }

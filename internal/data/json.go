@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -28,10 +29,25 @@ func NewSchemaCache() *SchemaCache {
 	return &SchemaCache{m: map[string]*types.Schema{}}
 }
 
-// schemaKey renders sorted field names unambiguously. NUL never appears in
-// JSON object keys, so distinct name sets get distinct cache keys — a
-// space-joined rendering would conflate {"a b","c"} with {"a","b c"}.
-func schemaKey(names []string) string { return strings.Join(names, "\x00") }
+// schemaKey renders sorted field names unambiguously: each name is prefixed
+// by its length, so distinct name sets get distinct cache keys. Any joined
+// rendering would conflate some of them — with a NUL separator, {} with
+// {""} and {"a\u0000b"} with {"a","b"}.
+func schemaKey(names []string) string {
+	size := 0
+	for _, n := range names {
+		size += len(n) + 4
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	var num [20]byte
+	for _, n := range names {
+		sb.Write(strconv.AppendInt(num[:0], int64(len(n)), 10))
+		sb.WriteByte(':')
+		sb.WriteString(n)
+	}
+	return sb.String()
+}
 
 func (c *SchemaCache) intern(key string, names []string) *types.Schema {
 	c.mu.Lock()

@@ -279,11 +279,17 @@ func (c *Coordinator) shippableSources() []sourceSpec {
 	var out []sourceSpec
 	for _, si := range c.db.SourceInfos() {
 		if si.Path != "" {
-			out = append(out, sourceSpec{Name: si.Name, Path: si.Path, Format: si.Format,
-				Version: fmt.Sprintf("g%d.e%d", si.BaseGen, si.DeltaEpoch)})
+			out = append(out, specOf(si))
 		}
 	}
 	return out
+}
+
+// specOf describes a file-backed catalog entry for shipping, versioned by
+// its base generation and delta epoch.
+func specOf(si cleandb.SourceInfo) sourceSpec {
+	return sourceSpec{Name: si.Name, Path: si.Path, Format: si.Format,
+		Version: fmt.Sprintf("g%d.e%d", si.BaseGen, si.DeltaEpoch)}
 }
 
 // custodyStamp fingerprints one custody division: the registration cohort
@@ -310,7 +316,7 @@ func (c *Coordinator) resyncCustody(stamp string) {
 		if si.Path == "" {
 			continue
 		}
-		key := sourceKey(si, stamp)
+		key := specOf(si).key(stamp)
 		c.mu.Lock()
 		cur := c.coordShipped[si.Name]
 		c.mu.Unlock()
@@ -325,12 +331,6 @@ func (c *Coordinator) resyncCustody(stamp string) {
 		c.coordShipped[si.Name] = key
 		c.mu.Unlock()
 	}
-}
-
-// sourceKey is the stamped shipped-source identity: the same shape workers
-// key their synced registrations by.
-func sourceKey(si cleandb.SourceInfo, stamp string) string {
-	return si.Path + "#" + fmt.Sprintf("g%d.e%d", si.BaseGen, si.DeltaEpoch) + "|" + stamp
 }
 
 // unshippableDelta reports whether any catalog source carries un-folded

@@ -123,6 +123,12 @@ func TestClusterRefreshesAppendedFile(t *testing.T) {
 	if info.BaseGen == 0 || info.Appends != 0 {
 		t.Fatalf("rewrite did not reset: base_gen=%d appends=%d", info.BaseGen, info.Appends)
 	}
+	// The reset re-scanned the whole file outside any session, so the
+	// coordinator owns all of it; the first session's custody share is gone.
+	if info.OwnedPartitions != info.Partitions || info.OwnedBytes != info.Bytes {
+		t.Fatalf("after reset the coordinator owns %d/%d partitions, %d/%d bytes",
+			info.OwnedPartitions, info.Partitions, info.OwnedBytes, info.Bytes)
+	}
 
 	res, frags, err = c.run(ctx, distItemsQuery)
 	if err != nil {

@@ -42,6 +42,13 @@ type sourceSpec struct {
 	Version string `json:"version,omitempty"`
 }
 
+// key is the shipped-source identity under one custody division,
+// path#g<base>.e<delta>|stamp. The coordinator keys its own custody resync
+// on it and workers key their synced registrations on it, so every member
+// drops a warm load at the same moment: when the file's version or the
+// division moves.
+func (s sourceSpec) key(stamp string) string { return s.Path + "#" + s.Version + "|" + stamp }
+
 // fragmentRequest asks a worker to execute its share of one query.
 type fragmentRequest struct {
 	Session string `json:"session"`

@@ -123,8 +123,8 @@ func (wk *Worker) HandleFragment(w http.ResponseWriter, r *http.Request) {
 // re-registration here drops the worker's stale load and the next scan reads
 // the grown file.
 //
-// The key also carries the session's custody stamp (Path#Version|stamp, the
-// shape of the coordinator's sourceKey), so a membership or cohort change
+// The key also carries the session's custody stamp (sourceSpec.key, the one
+// the coordinator's own resync uses), so a membership or cohort change
 // drops the previous division's warm load and the next scan re-divides — on
 // this worker at the same moment the coordinator's own resync does it,
 // keeping every member's cold/warm state in lockstep.
@@ -135,7 +135,7 @@ func (wk *Worker) syncSources(specs []sourceSpec, stamp string) error {
 		if s.Path == "" {
 			continue
 		}
-		key := s.Path + "#" + s.Version + "|" + stamp
+		key := s.key(stamp)
 		if wk.shipped[s.Name] == key {
 			continue
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"cleandb/internal/data"
-	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -82,94 +81,12 @@ func (s *CSV) Stats() (Stats, error) {
 	return Stats{Rows: -1, Bytes: s.src.sizeBytes()}, nil
 }
 
-// Scan implements Source with a three-phase partition-parallel load:
-// chunk the body at row boundaries, parse chunks concurrently into raw
-// cells, infer column types globally, then build typed records concurrently
+// Scan implements Source by running the scan plan (csvPlan) locally: chunk
+// the body at row boundaries, parse and vote column types per chunk in
+// parallel, merge the votes, then build typed records per chunk in parallel
 // — each chunk landing as one ordered partition.
 func (s *CSV) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
-	buf, err := s.src.bytes()
-	if err != nil {
-		return nil, err
-	}
-	out, st, err := scanCSV(ctx, buf, parts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.state = st
-	s.mu.Unlock()
-	return out, nil
-}
-
-func scanCSV(ctx context.Context, buf []byte, parts int) ([][]types.Value, *csvState, error) {
-	if parts < 1 {
-		parts = 1
-	}
-	if len(buf) == 0 {
-		return nil, nil, nil
-	}
-	header, hEnd, err := csvHeader(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if header == nil {
-		return nil, nil, nil
-	}
-	headerLines := bytes.Count(buf[:hEnd], []byte{'\n'})
-	chunks, baseLines := splitCSVBody(buf[hEnd:], parts)
-
-	// Phase 1: parse raw cells per chunk, in parallel. Parse errors are
-	// rebased from chunk-relative to absolute file line numbers, matching
-	// what the sequential reader reports for the same input.
-	raw := make([][][]string, len(chunks))
-	err = par.Run(ctx, len(chunks), parts, func(i int) error {
-		rows, err := parseCSVChunk(chunks[i], headerLines+baseLines[i])
-		if err != nil {
-			return err
-		}
-		raw[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Phase 2: global type inference — every chunk votes on every column, so
-	// the result matches the sequential reader exactly.
-	colTypes, voted := data.InferColumnTypesSeen(raw, len(header))
-
-	// Phase 3: build typed records per chunk, in parallel, landing each
-	// chunk as one ordered partition.
-	schema := types.NewSchema(header...)
-	out := make([][]types.Value, len(chunks))
-	err = par.Run(ctx, len(chunks), parts, func(i int) error {
-		rows := raw[i]
-		vals := make([]types.Value, len(rows))
-		for j, row := range rows {
-			fields := make([]types.Value, len(header))
-			for c := range header {
-				var cell string
-				if c < len(row) {
-					cell = row[c]
-				}
-				fields[c] = data.ParseCell(cell, colTypes[c])
-			}
-			vals[j] = types.NewRecord(schema, fields)
-		}
-		out[i] = vals
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &csvState{
-		header:   header,
-		schema:   schema,
-		colTypes: colTypes,
-		voted:    voted,
-		consumed: int64(len(buf)),
-	}
-	return out, st, nil
+	return scanPlanned(ctx, s, parts)
 }
 
 // Consumed implements Tailer.
@@ -367,4 +284,155 @@ func splitCSVBody(body []byte, parts int) (chunks [][]byte, baseLines []int) {
 		chunks[i] = body[starts[i]:end]
 	}
 	return chunks, baseLines
+}
+
+// csvPlan is CSV's scan in three phases, each per chunk: parse raw cells and
+// vote column types (Vote), install the merged types (SetTypes), and build
+// typed records (Build). Raw cells are cached between the vote and build of
+// a chunk and re-parsed on demand when a cluster member adopts a chunk after
+// the vote round. Finish records the tail state.
+type csvPlan struct {
+	s           *CSV
+	buf         []byte
+	header      []string
+	schema      *types.Schema
+	headerLines int
+	hEnd        int
+	chunks      [][]byte
+	baseLines   []int
+
+	mu       sync.Mutex
+	raw      map[int][][]string
+	colTypes []data.ColType
+	voted    []bool
+}
+
+// PlanScan implements PartitionedScanner: the body splits at row boundaries
+// into at most parts chunks.
+func (s *CSV) PlanScan(ctx context.Context, parts int) (ScanPlan, error) {
+	if parts < 1 {
+		parts = 1
+	}
+	buf, err := s.src.bytes()
+	if err != nil {
+		return nil, err
+	}
+	p := &csvPlan{s: s, buf: buf, raw: make(map[int][][]string)}
+	header, hEnd, err := csvHeader(buf)
+	if err != nil {
+		return nil, err
+	}
+	if header == nil { // io.EOF: blank input
+		return p, nil
+	}
+	p.header = header
+	p.schema = types.NewSchema(header...)
+	p.hEnd = hEnd
+	p.headerLines = bytes.Count(buf[:hEnd], []byte{'\n'})
+	p.chunks, p.baseLines = splitCSVBody(buf[hEnd:], parts)
+	return p, nil
+}
+
+func (p *csvPlan) Chunks() int { return len(p.chunks) }
+
+func (p *csvPlan) ChunkBytes(i int) int64 {
+	n := int64(len(p.chunks[i]))
+	if i == 0 {
+		n += int64(p.hEnd) // the owner of chunk 0 also parsed the header
+	}
+	return n
+}
+
+func (p *csvPlan) Vote(ctx context.Context, i int) ([]data.ColVote, error) {
+	raw, err := p.rawChunk(ctx, i)
+	if err != nil {
+		return nil, err
+	}
+	ts, voted := data.InferColumnTypesSeen([][][]string{raw}, len(p.header))
+	return data.ColVotes(ts, voted), nil
+}
+
+func (p *csvPlan) SetTypes(votes []data.ColVote) error {
+	if len(votes) != len(p.header) {
+		return fmt.Errorf("source: csv: %d type votes for %d columns", len(votes), len(p.header))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.colTypes = make([]data.ColType, len(votes))
+	p.voted = make([]bool, len(votes))
+	for c, v := range votes {
+		p.colTypes[c], p.voted[c] = v.Type, v.Voted
+	}
+	return nil
+}
+
+func (p *csvPlan) Build(ctx context.Context, i int) ([]types.Value, error) {
+	p.mu.Lock()
+	colTypes := p.colTypes
+	p.mu.Unlock()
+	if colTypes == nil {
+		return nil, fmt.Errorf("source: csv: build before type votes merged")
+	}
+	raw, err := p.rawChunk(ctx, i)
+	if err != nil {
+		return nil, err
+	}
+	rows := buildCSVRows(raw, p.header, p.schema, colTypes)
+	p.mu.Lock()
+	delete(p.raw, i) // built chunks never re-vote; adoption re-parses
+	p.mu.Unlock()
+	return rows, nil
+}
+
+func (p *csvPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
+	if p.header == nil { // blank input: no rows and nothing to tail from
+		p.s.mu.Lock()
+		p.s.state = nil
+		p.s.mu.Unlock()
+		return nil, nil
+	}
+	p.mu.Lock()
+	colTypes, voted := p.colTypes, p.voted
+	p.mu.Unlock()
+	if colTypes == nil {
+		if len(p.chunks) > 0 {
+			return nil, fmt.Errorf("source: csv: finish before type votes merged")
+		}
+		// Header-only input: no chunks voted, so no vote round ran; default
+		// every column exactly as inference over zero chunks would.
+		colTypes, voted = data.InferColumnTypesSeen(nil, len(p.header))
+	}
+	p.s.mu.Lock()
+	p.s.state = &csvState{
+		header:   p.header,
+		schema:   p.schema,
+		colTypes: colTypes,
+		voted:    voted,
+		consumed: int64(len(p.buf)),
+	}
+	p.s.mu.Unlock()
+	return full, nil
+}
+
+// rawChunk parses chunk i's raw cells, caching the result between the vote
+// and build phases. Parse errors are rebased from chunk-relative to absolute
+// file line numbers, matching what the sequential reader reports.
+func (p *csvPlan) rawChunk(ctx context.Context, i int) ([][]string, error) {
+	p.mu.Lock()
+	rows, ok := p.raw[i]
+	p.mu.Unlock()
+	if ok {
+		return rows, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rows, err := parseCSVChunk(p.chunks[i], p.headerLines+p.baseLines[i])
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.raw[i] = rows
+	p.mu.Unlock()
+	return rows, nil
 }

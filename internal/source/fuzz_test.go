@@ -96,3 +96,35 @@ func FuzzCSVParallelMatchesSequential(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJSONParallelMatchesSequential is the JSON counterpart: whenever the
+// sequential reader accepts an input, every parallelism degree must accept
+// it too and produce the same rows in the same order.
+func FuzzJSONParallelMatchesSequential(f *testing.F) {
+	f.Add([]byte(`{"a":1}` + "\n" + `{"a":2}` + "\n"))
+	f.Add([]byte(`{"a":1,"n":{"x":[1,2]}}` + "\n\n" + `{"b":"s"}`))
+	f.Add([]byte("\n\n\n"))
+	f.Add([]byte(""))
+	f.Add([]byte(`{"a":1.5}` + "\r\n" + `{"a":null}` + "\r\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		want, err := data.ReadJSON(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, parts := range []int{1, 2, 3, 8} {
+			got, err := JSONBytes(in).Scan(context.Background(), parts)
+			if err != nil {
+				t.Fatalf("parts=%d: sequential accepted but parallel failed: %v", parts, err)
+			}
+			flat := flatten(got)
+			if len(flat) != len(want) {
+				t.Fatalf("parts=%d: %d rows, want %d", parts, len(flat), len(want))
+			}
+			for i := range want {
+				if !types.Equal(flat[i], want[i]) {
+					t.Fatalf("parts=%d row %d: %v != %v", parts, i, flat[i], want[i])
+				}
+			}
+		}
+	})
+}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"cleandb/internal/data"
-	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -52,41 +51,10 @@ func (s *JSON) Stats() (Stats, error) {
 	return Stats{Rows: -1, Bytes: s.src.sizeBytes()}, nil
 }
 
-// Scan implements Source by parsing line-boundary chunks in parallel.
+// Scan implements Source by running the scan plan (jsonPlan) locally,
+// parsing line-boundary chunks in parallel.
 func (s *JSON) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
-	buf, err := s.src.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	chunks, firstLines := splitLines(buf, parts)
-	cache := data.NewSchemaCache()
-	out := make([][]types.Value, len(chunks))
-	err = par.Run(ctx, len(chunks), parts, func(i int) error {
-		rows, err := data.ReadJSONChunk(chunks[i], firstLines[i], cache)
-		if err != nil {
-			return err
-		}
-		out[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.state = &jsonState{cache: cache, consumed: int64(len(buf)), lines: bytes.Count(buf, []byte{'\n'})}
-	s.mu.Unlock()
-	// Blank lines produce no rows, so some chunks may be empty; drop them so
-	// partition counts reflect data, not whitespace.
-	kept := out[:0]
-	for _, p := range out {
-		if len(p) > 0 {
-			kept = append(kept, p)
-		}
-	}
-	return kept, nil
+	return scanPlanned(ctx, s, parts)
 }
 
 // Consumed implements Tailer.
@@ -182,4 +150,54 @@ func splitLines(buf []byte, parts int) ([][]byte, []int) {
 		chunks[i] = buf[starts[i]:end]
 	}
 	return chunks, lines
+}
+
+// jsonPlan parses line-boundary chunks independently through one shared
+// schema cache. The state install and the empty-partition drop need every
+// chunk, so they run in Finish.
+type jsonPlan struct {
+	s          *JSON
+	buf        []byte
+	chunks     [][]byte
+	firstLines []int
+	cache      *data.SchemaCache
+}
+
+// PlanScan implements PartitionedScanner: the input splits at line
+// boundaries into at most parts chunks.
+func (s *JSON) PlanScan(ctx context.Context, parts int) (ScanPlan, error) {
+	if parts < 1 {
+		parts = 1
+	}
+	buf, err := s.src.bytes()
+	if err != nil {
+		return nil, err
+	}
+	chunks, firstLines := splitLines(buf, parts)
+	return &jsonPlan{s: s, buf: buf, chunks: chunks, firstLines: firstLines, cache: data.NewSchemaCache()}, nil
+}
+
+func (p *jsonPlan) Chunks() int            { return len(p.chunks) }
+func (p *jsonPlan) ChunkBytes(i int) int64 { return int64(len(p.chunks[i])) }
+
+func (p *jsonPlan) Build(ctx context.Context, i int) ([]types.Value, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return data.ReadJSONChunk(p.chunks[i], p.firstLines[i], p.cache)
+}
+
+func (p *jsonPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
+	p.s.mu.Lock()
+	p.s.state = &jsonState{cache: p.cache, consumed: int64(len(p.buf)), lines: bytes.Count(p.buf, []byte{'\n'})}
+	p.s.mu.Unlock()
+	// Blank lines produce no rows, so some chunks may be empty; drop them so
+	// partition counts reflect data, not whitespace.
+	kept := full[:0]
+	for _, part := range full {
+		if len(part) > 0 {
+			kept = append(kept, part)
+		}
+	}
+	return kept, nil
 }

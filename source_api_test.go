@@ -267,3 +267,107 @@ func TestParallelLoadIdenticalQueryResults(t *testing.T) {
 		}
 	}
 }
+
+// TestUnload pins Unload's contract: a loaded entry drops its data and the
+// next use re-scans the file, a file-appended tail folds into the base, while
+// memory-only appended rows refuse and pending or failed entries are left
+// exactly as they are.
+func TestUnload(t *testing.T) {
+	ctx := context.Background()
+	db := cleandb.Open(cleandb.WithWorkers(2))
+	info := func(name string) cleandb.SourceInfo {
+		t.Helper()
+		si, err := db.SourceInfo(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return si
+	}
+
+	// Pending: a no-op.
+	pending := writeTempFile(t, "p.csv", []byte("a\n1\n"))
+	db.RegisterCSVFile("pending", pending)
+	if err := db.Unload("pending"); err != nil {
+		t.Fatal(err)
+	}
+	if si := info("pending"); si.Loaded || si.Err != nil || si.BaseGen != 0 {
+		t.Fatalf("unloaded pending source: %+v", si)
+	}
+
+	// Failed: the remembered error survives, even once the file is fixed.
+	bad := writeTempFile(t, "bad.colbin", []byte("not colbin"))
+	db.RegisterColbinFile("bad", bad)
+	if err := db.Load(ctx, "bad"); err == nil {
+		t.Fatal("load of a corrupt colbin file succeeded")
+	}
+	var good bytes.Buffer
+	if err := data.WriteColbin(&good, []cleandb.Value{cleandb.NewRecord(cleandb.NewSchema("a"), []cleandb.Value{cleandb.Int(1)})}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, good.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Unload("bad"); err != nil {
+		t.Fatal(err)
+	}
+	if si := info("bad"); si.Loaded || si.Err == nil {
+		t.Fatalf("unload cleared the failed load: %+v", si)
+	}
+	if err := db.Load(ctx, "bad"); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("load after unloading a failed entry = %v, want the remembered error", err)
+	}
+
+	// Memory-only appended rows cannot be re-scanned: refuse, keep the data.
+	mem := writeTempFile(t, "m.csv", []byte("a\n1\n"))
+	db.RegisterCSVFile("mem", mem)
+	if err := db.AppendCSV("mem", []byte("2\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Unload("mem"); err == nil || !strings.Contains(err.Error(), "memory-only") {
+		t.Fatalf("unload with payload rows = %v, want a refusal", err)
+	}
+	if si := info("mem"); !si.Loaded || si.Rows != 2 || si.MemRows != 1 {
+		t.Fatalf("refused unload changed the entry: %+v", si)
+	}
+
+	// A file-appended tail folds into the base; the next query re-scans.
+	path := writeTempFile(t, "f.csv", []byte("a\n1\n2\n"))
+	db.RegisterCSVFile("file", path)
+	if err := db.Load(ctx, "file"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("3\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if added, err := db.Refresh(ctx, "file"); err != nil || added != 1 {
+		t.Fatalf("refresh = %d, %v; want 1 row", added, err)
+	}
+	before := info("file")
+	if before.Appends != 1 || before.BaseGen != 0 {
+		t.Fatalf("after tail refresh: %+v", before)
+	}
+	if err := db.Unload("file"); err != nil {
+		t.Fatal(err)
+	}
+	after := info("file")
+	if after.Loaded || after.Err != nil || after.BaseGen != before.BaseGen+1 || after.Appends != 0 || after.DeltaEpoch != before.DeltaEpoch {
+		t.Fatalf("after unload: %+v (before %+v)", after, before)
+	}
+	if err := os.WriteFile(path, []byte("a\n7\n8\n9\n10\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(`SELECT x.a AS a FROM file x WHERE x.a > 7`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowCount() != 3 {
+		t.Fatalf("query after unload read %d rows > 7, want 3 from the rewritten file", res.RowCount())
+	}
+}
